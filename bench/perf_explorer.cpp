@@ -7,10 +7,10 @@
 //
 // BM_ParallelExplore/threads:N reports real time (UseRealTime) for the same
 // bounded workload at 1/2/4 worker threads; the `schedules/s` counter is the
-// comparable throughput figure. On a multicore host, 2 threads should come
-// in at >= 2x the single-thread throughput (the frontier partition is exact,
-// so the workers never duplicate or skip subtrees); on a single hardware
-// thread the variants time-slice and merely tie. The explored-schedule count
+// comparable throughput figure. The frontier partition is exact, so the
+// workers never duplicate or skip subtrees; the measured 2-thread speedup is
+// recorded as `explore.parallel_speedup` by tpa_bench (`--workload
+// parallel --trace 1`, see tpa_bench/README.md). The explored-schedule count
 // is identical across thread counts whenever the run is exhausted rather
 // than budget-capped.
 //
@@ -38,6 +38,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -160,17 +161,30 @@ void BM_CheckpointVsReplay(benchmark::State& state) {
       static_cast<double>(schedules), benchmark::Counter::kIsRate);
 }
 
-/// One exhausted explore() in the given mode, timed.
+/// CPU time consumed so far by the calling thread, in milliseconds.
+double thread_cpu_ms() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 +
+         static_cast<double>(ts.tv_nsec) / 1e6;
+}
+
+/// One exhausted explore() in the given mode, timed. `cpu_ms` is the
+/// calling thread's CPU time, which covers the whole run only when the
+/// exploration is sequential (threads == 1 explores on the caller).
 struct ModeResult {
   tso::ExplorerResult result;
   double wall_ms = 0;
+  double cpu_ms = 0;
 };
 
 ModeResult run_mode(const runtime::Scenario& s,
                     const tso::ExplorerConfig& cfg) {
   const auto t0 = std::chrono::steady_clock::now();
+  const double c0 = thread_cpu_ms();
   ModeResult m;
   m.result = s.explore(cfg);
+  m.cpu_ms = thread_cpu_ms() - c0;
   m.wall_ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - t0)
                   .count();
@@ -201,7 +215,7 @@ void emit_json(std::ostream& out, const char* mode, const ModeResult& m) {
       << ",\"dedup_entries\":" << m.result.dedup_entries
       << ",\"dedup_bytes\":" << m.result.dedup_bytes
       << ",\"dedup_evictions\":" << m.result.dedup_evictions
-      << ",\"wall_ms\":" << m.wall_ms << "}";
+      << ",\"wall_ms\":" << m.wall_ms << ",\"cpu_ms\":" << m.cpu_ms << "}";
 }
 
 /// Publishes bench JSON via tmp+fsync+rename (trace/atomic_io.h): an
@@ -361,13 +375,13 @@ int write_dedup_comparison(const char* path, int reps,
 /// must be a bystander: schedule/truncated counts stay identical (its
 /// verifications never fire thanks to the weak-fairness pre-filter) and the
 /// per-node progress-key + on-stack-index bookkeeping is the entire cost —
-/// `wall_ratio` pins it. With `max_wall_ratio` >= 0 the run doubles as a
-/// regression gate: nonzero exit when any scope exceeds it (the perf-smoke
-/// budget is 1.10, i.e. <= 10% overhead). A final detection scope records
-/// the tas-loop-2p starvation lasso end-to-end (found + shrunk), ungated on
-/// wall time.
+/// `cpu_ratio` (on/off thread CPU time) pins it. With `max_cpu_ratio` >= 0
+/// the run doubles as a regression gate: nonzero exit when any scope exceeds
+/// it (the perf-smoke budget is 1.10, i.e. <= 10% overhead). A final
+/// detection scope records the tas-loop-2p starvation lasso end-to-end
+/// (found + shrunk), ungated on time.
 int write_liveness_comparison(const char* path, int reps,
-                              double max_wall_ratio) {
+                              double max_cpu_ratio) {
   const DedupScope scopes[] = {
       {"bakery-tso-3p", 2, 0, 200, false},
       {"tournament-3p", 2, 0, 200, false},
@@ -388,30 +402,38 @@ int write_liveness_comparison(const char* path, int reps,
     tso::ExplorerConfig cfg_on = cfg;
     cfg_on.liveness = tso::LivenessMode::kCheck;
     // The gated statistic is the *median of per-pair ratios*: each rep runs
-    // off then on back to back and contributes one on/off ratio, so slow
+    // both modes back to back and contributes one on/off ratio, so slow
     // load drift cancels inside the pair, and a load spike that lands on a
     // couple of pairs is discarded by the median — where a ratio of
-    // best-of-N minima lets one spiked side bias the whole scope.
-    ModeResult off = run_mode(s, cfg);
-    ModeResult on = run_mode(s, cfg_on);
-    std::vector<double> ratios{on.wall_ms /
-                               (off.wall_ms > 0 ? off.wall_ms : 1e-9)};
-    for (int r = 1; r < reps; ++r) {
-      ModeResult o = run_mode(s, cfg);
-      ModeResult m = run_mode(s, cfg_on);
-      ratios.push_back(m.wall_ms / (o.wall_ms > 0 ? o.wall_ms : 1e-9));
-      if (o.wall_ms < off.wall_ms) off = std::move(o);
-      if (m.wall_ms < on.wall_ms) on = std::move(m);
+    // best-of-N minima lets one spiked side bias the whole scope. Both
+    // sides are timed in thread CPU time (the scopes are sequential): on a
+    // shared host, wall time also counts the slices other tenants steal.
+    // Pairs alternate which mode runs first, so whatever the earlier run
+    // of a pair leaves behind (warm caches, a grown heap) favours neither.
+    ModeResult off, on;
+    std::vector<double> ratios;
+    for (int r = 0; r < reps; ++r) {
+      ModeResult o, m;
+      if (r % 2 == 0) {
+        o = run_mode(s, cfg);
+        m = run_mode(s, cfg_on);
+      } else {
+        m = run_mode(s, cfg_on);
+        o = run_mode(s, cfg);
+      }
+      ratios.push_back(m.cpu_ms / (o.cpu_ms > 0 ? o.cpu_ms : 1e-9));
+      if (r == 0 || o.cpu_ms < off.cpu_ms) off = std::move(o);
+      if (r == 0 || m.cpu_ms < on.cpu_ms) on = std::move(m);
     }
     std::nth_element(ratios.begin(), ratios.begin() + ratios.size() / 2,
                      ratios.end());
-    const double wall_ratio = ratios[ratios.size() / 2];
+    const double cpu_ratio = ratios[ratios.size() / 2];
     const bool clean = !off.result.verdict.found() &&
                        !on.result.verdict.found() &&
                        off.result.schedules == on.result.schedules &&
                        off.result.truncated == on.result.truncated;
     all_clean = all_clean && clean;
-    const bool fast = max_wall_ratio < 0 || wall_ratio <= max_wall_ratio;
+    const bool fast = max_cpu_ratio < 0 || cpu_ratio <= max_cpu_ratio;
     all_fast = all_fast && fast;
 
     out << "  {\"scenario\":\"" << scope.scenario << "\""
@@ -420,15 +442,15 @@ int write_liveness_comparison(const char* path, int reps,
     emit_json(out, "off", off);
     out << ",\n";
     emit_json(out, "check", on);
-    out << "\n   ],\n   \"wall_ratio\": " << wall_ratio
+    out << "\n   ],\n   \"cpu_ratio\": " << cpu_ratio
         << ",\n   \"counts_match\": " << (clean ? "true" : "false") << "\n  },"
         << "\n";
 
     std::printf(
-        "liveness %-16s pre=%d: wall %.0fms vs %.0fms (ratio %.2f%s), "
+        "liveness %-16s pre=%d: cpu %.0fms vs %.0fms (ratio %.2f%s), "
         "counts %s\n",
-        scope.scenario, scope.preemptions, on.wall_ms, off.wall_ms,
-        wall_ratio, fast ? "" : " — TOO SLOW", clean ? "match" : "DIVERGED");
+        scope.scenario, scope.preemptions, on.cpu_ms, off.cpu_ms,
+        cpu_ratio, fast ? "" : " — TOO SLOW", clean ? "match" : "DIVERGED");
   }
 
   // Detection end-to-end: the unfair spin lock's starvation lasso is found,
@@ -516,11 +538,11 @@ int main(int argc, char** argv) {
     double threshold = 1.10;
     if (arg.size() > prefix.size() && arg[prefix.size()] == '=')
       threshold = std::atof(arg.c_str() + prefix.size() + 1);
-    // 5 interleaved reps per scope: the gate compares ~5% real overhead
-    // against a 10% budget, so it needs tighter min-estimates than the
+    // 15 interleaved pairs per scope: the gate compares ~5-7% real overhead
+    // against a 10% budget, so its median needs more pairs than the
     // ungated trend run below.
     return write_liveness_comparison("BENCH_explorer_liveness.json",
-                                     /*reps=*/5, threshold);
+                                     /*reps=*/15, threshold);
   }
 
   if (const int rc = write_comparison("BENCH_explorer.json"); rc != 0)
@@ -531,7 +553,7 @@ int main(int argc, char** argv) {
     return rc;
   if (const int rc =
           write_liveness_comparison("BENCH_explorer_liveness.json",
-                                    /*reps=*/3, /*max_wall_ratio=*/-1);
+                                    /*reps=*/3, /*max_cpu_ratio=*/-1);
       rc != 0)
     return rc;
   benchmark::Initialize(&argc, argv);

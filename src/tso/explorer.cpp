@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <deque>
 #include <limits>
 #include <list>
 #include <memory>
@@ -209,10 +210,13 @@ struct Options {
 /// Candidates in a stable order; continuing the current process is free,
 /// preempting it costs budget. If the current process cannot act, switching
 /// is free. Crash candidates come last: with crashes_left == 0 the option
-/// list is bit-identical to a crash-free exploration.
-Options enumerate_options(const Simulator& sim, std::size_t n, ProcId current,
-                          int preemptions, int crashes_left) {
-  Options o;
+/// list is bit-identical to a crash-free exploration. Fills `o` in place
+/// (clearing it first), so a caller that recycles it allocates nothing.
+void enumerate_options(const Simulator& sim, std::size_t n, ProcId current,
+                       int preemptions, int crashes_left, Options& o) {
+  o.cand.clear();
+  o.options.clear();
+  o.crash_cand.clear();
   for (std::size_t p = 0; p < n; ++p)
     if (can_act(sim, static_cast<ProcId>(p)))
       o.cand.push_back(static_cast<ProcId>(p));
@@ -231,7 +235,6 @@ Options enumerate_options(const Simulator& sim, std::size_t n, ProcId current,
   } else {
     o.options = o.cand;
   }
-  return o;
 }
 
 /// A schedule prefix at which a worker's subtree DFS is rooted. In
@@ -318,7 +321,8 @@ class Dfs {
     baseline_depth_ = kNoBaseline;
     skips_since_check_ = kLiveKeyStride;
     last_sched_.assign(n_, 0);
-    dfs(fresh(), kNoProc, cfg_.preemptions, cfg_.max_crashes, {});
+    sim_ = fresh();
+    dfs(kNoProc, cfg_.preemptions, cfg_.max_crashes, {});
   }
 
   void run_from(const Node& node) {
@@ -328,9 +332,11 @@ class Dfs {
     last_sched_.assign(n_, 0);
     for (std::size_t k = 0; k < dirs_.size(); ++k)
       last_sched_[dirs_[k].proc] = k + 1;
-    std::unique_ptr<Simulator> sim;
     if (cfg_.checkpoint && node.snap != nullptr) {
-      sim = revive(*node.snap);
+      sim_ = std::make_unique<Simulator>(n_, sim_cfg_);
+      sim_->count_events_into(&result_.steps);
+      sim_->restore(*node.snap, build_);
+      result_.restores++;
     } else {
       // A campaign frontier node's last directive is an *unapplied* child
       // step: replaying it may legitimately raise the violation the
@@ -339,15 +345,14 @@ class Dfs {
       // prefixes were pre-validated by the frontier builder; for them this
       // also converts a diverged replay into a loud violation.)
       try {
-        sim = rebuild();
+        sim_ = rebuild();
       } catch (const CheckFailure& e) {
         record_violation(e.what());
         return;
       }
     }
     if (liveness_) seed_onstack();
-    dfs(std::move(sim), node.current, node.preemptions, node.crashes_left,
-        node.sleep);
+    dfs(node.current, node.preemptions, node.crashes_left, node.sleep);
   }
 
   ExplorerResult take_result() { return std::move(result_); }
@@ -370,13 +375,16 @@ class Dfs {
     return sim;
   }
 
-  /// Reinstates a checkpoint in a fresh simulator — no events re-executed.
-  std::unique_ptr<Simulator> revive(const SimSnapshot& snap) {
-    auto sim = std::make_unique<Simulator>(n_, sim_cfg_);
-    sim->count_events_into(&result_.steps);
-    sim->restore(snap, build_);
-    result_.restores++;
-    return sim;
+  /// Puts the simulator back at a branch point for its next sibling: in
+  /// place from the branch point's checkpoint — no events re-executed, no
+  /// allocation — or, with checkpointing off, by replaying `dirs_`.
+  void rewind(const SimSnapshot* snap) {
+    if (snap != nullptr) {
+      sim_->restore(*snap, build_);
+      result_.restores++;
+    } else {
+      sim_ = rebuild();
+    }
   }
 
   /// The visited-set key: the (incrementally maintained) state fingerprint
@@ -396,23 +404,15 @@ class Dfs {
                       : sim.fingerprint_progress(current);
   }
 
-  /// Rebuilds the on-stack index for a frontier node's directive prefix:
-  /// the resumed Dfs must see the same stack ancestry the uninterrupted run
-  /// had at this node, or a cycle closing against a prefix state would go
-  /// undetected after a resume. Replays on an uncounted scratch simulator
-  /// (stats of the prefix were already charged before the checkpoint);
-  /// depth L is keyed *before* directive L applies, and the node's own key
-  /// (depth dirs_.size()) is pushed by dfs() itself. Seeded entries are
-  /// never popped: this Dfs never unwinds above its starting node.
-  /// Re-anchors the dirty-delta baseline after a sibling's simulator was
-  /// materialized: a snapshot revive ends in a full fingerprint rebuild at
-  /// this node's state, so the baseline is exactly here; a from-the-root
-  /// rebuild() replays without flushing, leaving the flushed state at the
-  /// initial machine — nowhere on this path, so the baseline is invalid
-  /// until the next keyed node re-establishes one.
-  void reanchor_baseline(bool revived, std::size_t depth, ProcId current,
+  /// Re-anchors the dirty-delta baseline after the simulator was rewound
+  /// for a sibling: an in-place snapshot restore ends in a full fingerprint
+  /// rebuild at this node's state, so the baseline is exactly here; a
+  /// from-the-root rebuild() replays without flushing, leaving the flushed
+  /// state at the initial machine — nowhere on this path, so the baseline
+  /// is invalid until the next keyed node re-establishes one.
+  void reanchor_baseline(bool restored, std::size_t depth, ProcId current,
                          std::size_t n_vars) {
-    if (revived) {
+    if (restored) {
       baseline_depth_ = depth;
       baseline_current_ = current;
       baseline_nvars_ = n_vars;
@@ -421,6 +421,14 @@ class Dfs {
     }
   }
 
+  /// Rebuilds the on-stack index for a frontier node's directive prefix:
+  /// the resumed Dfs must see the same stack ancestry the uninterrupted run
+  /// had at this node, or a cycle closing against a prefix state would go
+  /// undetected after a resume. Replays on an uncounted scratch simulator
+  /// (stats of the prefix were already charged before the checkpoint);
+  /// depth L is keyed *before* directive L applies, and the node's own key
+  /// (depth dirs_.size()) is pushed by dfs() itself. Seeded entries are
+  /// never popped: this Dfs never unwinds above its starting node.
   void seed_onstack() {
     onstack_.clear();
     auto sim = std::make_unique<Simulator>(n_, sim_cfg_);
@@ -447,7 +455,7 @@ class Dfs {
   VerdictKind verify_cycle(Simulator& sim, ProcId current,
                            std::size_t cycle_start, const Fingerprint& key,
                            std::string* msg) {
-    const std::shared_ptr<const SimSnapshot> snap = take_snapshot(sim);
+    const PooledSnapshot snap = take_snapshot(sim);
     std::vector<Status> status0(n_);
     std::vector<char> enabled(n_, 0), scheduled(n_, 0), changed(n_, 0);
     for (std::size_t q = 0; q < n_; ++q) {
@@ -519,7 +527,15 @@ class Dfs {
   /// can be recycled instead of reallocated at every branch point. Pool
   /// entries are owned by this Dfs; a pooled snapshot never crosses
   /// threads, because Dfs-created snapshots stay inside its own recursion.
-  std::shared_ptr<const SimSnapshot> take_snapshot(const Simulator& sim) {
+  /// That single owner is also why a unique_ptr whose deleter hands the
+  /// snapshot back to the pool suffices — no shared control block.
+  struct ReturnToPool {
+    std::vector<std::unique_ptr<SimSnapshot>>* pool;
+    void operator()(SimSnapshot* s) const { pool->emplace_back(s); }
+  };
+  using PooledSnapshot = std::unique_ptr<SimSnapshot, ReturnToPool>;
+
+  PooledSnapshot take_snapshot(const Simulator& sim) {
     std::unique_ptr<SimSnapshot> s;
     if (!snap_pool_.empty()) {
       s = std::move(snap_pool_.back());
@@ -529,9 +545,7 @@ class Dfs {
     }
     sim.snapshot_into(*s);
     result_.snapshots++;
-    return {s.release(), [this](const SimSnapshot* p) {
-              snap_pool_.emplace_back(const_cast<SimSnapshot*>(p));
-            }};
+    return PooledSnapshot(s.release(), ReturnToPool{&snap_pool_});
   }
 
   void record_visited(const Fingerprint& key, const VisitedSet::Budget& b) {
@@ -562,13 +576,14 @@ class Dfs {
     if (include_current)
       c.frontier.push_back(
           trace::CampaignNode{current, preemptions, crashes_left, dirs_});
-    for (auto lvl = levels_.rbegin(); lvl != levels_.rend(); ++lvl) {
-      for (std::size_t k = lvl->next; k < lvl->children.size(); ++k) {
-        const PendingChild& ch = lvl->children[k];
+    for (std::size_t l = open_levels_; l-- > 0;) {
+      const Level& lvl = levels_[l];
+      for (std::size_t k = lvl.next; k < lvl.children.size(); ++k) {
+        const PendingChild& ch = lvl.children[k];
         trace::CampaignNode node{
             ch.current, ch.preemptions, ch.crashes_left,
             {dirs_.begin(),
-             dirs_.begin() + static_cast<std::ptrdiff_t>(lvl->prefix_len)}};
+             dirs_.begin() + static_cast<std::ptrdiff_t>(lvl.prefix_len)}};
         node.dirs.push_back(ch.d);
         c.frontier.push_back(std::move(node));
       }
@@ -649,8 +664,11 @@ class Dfs {
   /// step cap is part of the budget tuple, so dominance accounts for it.
   /// Insertion is strictly post-order; a concurrent worker can therefore
   /// trust any entry it reads, which keeps cross-thread pruning sound.
-  bool dfs(std::unique_ptr<Simulator> sim, ProcId current, int preemptions,
-           int crashes_left, SleepSet sleep) {
+  ///
+  /// The subtree is explored on the Dfs' one simulator, `sim_`, which must
+  /// hold this node's state on entry and is left wherever the last explored
+  /// leaf put it; each sibling after the first rewinds it in place.
+  bool dfs(ProcId current, int preemptions, int crashes_left, SleepSet sleep) {
     if (stop()) {
       maybe_suspend(/*include_current=*/true, current, preemptions,
                     crashes_left);
@@ -663,8 +681,13 @@ class Dfs {
       return true;
     }
 
-    const Options opt =
-        enumerate_options(*sim, n_, current, preemptions, crashes_left);
+    // Per-depth scratch: a deque never relocates its elements as it grows,
+    // so this reference survives the deeper levels' emplace_backs, and the
+    // recycled vectors keep their capacity from earlier visits.
+    const std::size_t node_depth = dirs_.size();
+    while (opts_.size() <= node_depth) opts_.emplace_back();
+    Options& opt = opts_[node_depth];
+    enumerate_options(*sim_, n_, current, preemptions, crashes_left, opt);
 
     // Liveness: if this node's progress key is already on the DFS stack,
     // the suffix dirs_[depth..] is a candidate fair cycle — verify it by
@@ -724,8 +747,7 @@ class Dfs {
     Fingerprint pkey{};
     std::size_t pkey_prev = OnStackMap::kNotOnStack;
     bool pkey_pushed = false;
-    const std::size_t node_depth = dirs_.size();
-    const std::size_t node_nvars = sim->n_vars();
+    const std::size_t node_nvars = sim_->n_vars();
     const bool dedup_here =
         dedup_ && (opt.options.size() + opt.crash_cand.size() > 1 ||
                    node_depth % kChainStride == 0);
@@ -735,7 +757,7 @@ class Dfs {
       bool checked = false;
       if (baseline_depth_ < node_depth && current == baseline_current_ &&
           node_nvars == baseline_nvars_ &&
-          sim->progress_unchanged_since_baseline()) {
+          sim_->progress_unchanged_since_baseline()) {
         anc = baseline_depth_;
         checked = true;
         // The flushed caches describe a progress state this node was just
@@ -747,7 +769,7 @@ class Dfs {
       } else if (!dedup_here && skips_since_check_ < kLiveKeyStride) {
         skips_since_check_++;
       } else {
-        pkey = progress_key(*sim, current);
+        pkey = progress_key(*sim_, current);
         have_pkey = true;
         baseline_depth_ = node_depth;
         baseline_current_ = current;
@@ -780,14 +802,14 @@ class Dfs {
             maybe_fair = last_sched_[opt.cand[c]] > anc;
           if (maybe_fair) {
             if (!have_pkey) {
-              pkey = progress_key(*sim, current);
+              pkey = progress_key(*sim_, current);
               baseline_depth_ = node_depth;
               baseline_current_ = current;
               baseline_nvars_ = node_nvars;
             }
             std::string msg;
             const VerdictKind kind =
-                verify_cycle(*sim, current, anc, pkey, &msg);
+                verify_cycle(*sim_, current, anc, pkey, &msg);
             if (kind != VerdictKind::kClean) {
               record_verdict(kind, std::move(msg), anc);
               return false;
@@ -815,7 +837,7 @@ class Dfs {
     const VisitedSet::Budget budget{preemptions, crashes_left,
                                     cfg_.max_steps - dirs_.size()};
     if (dedup_here) {
-      key = state_key(*sim, current);
+      key = state_key(*sim_, current);
       if (liveness_) {
         // The dedup key's flush consumed the dirty delta: the baseline the
         // liveness fast path compares against is now this node.
@@ -842,7 +864,7 @@ class Dfs {
       // witness: there is no cycle to mark.
       if (liveness_) {
         for (std::size_t q = 0; q < n_; ++q) {
-          const Proc& proc = sim->proc(static_cast<ProcId>(q));
+          const Proc& proc = sim_->proc(static_cast<ProcId>(q));
           if (!proc.done() && !proc.crashed()) {
             std::ostringstream os;
             os << "liveness: deadlock — p" << q << " has not completed but "
@@ -856,7 +878,7 @@ class Dfs {
       shared_->charge();
       if (cfg_.on_complete) {
         try {
-          cfg_.on_complete(*sim);
+          cfg_.on_complete(*sim_);
         } catch (const CheckFailure& e) {
           record_violation(e.what());
           return false;
@@ -867,49 +889,54 @@ class Dfs {
       return true;
     }
 
-    // Signatures are taken at the node's state, before any child consumes
-    // the simulator; sleeping processes have not stepped since their entry
+    // Signatures are taken at the node's state, before any child moves the
+    // simulator on; sleeping processes have not stepped since their entry
     // was recorded, so their stored signatures stay valid.
     std::vector<ActionSig> sigs;
     if (cfg_.sleep_sets) {
       sigs.reserve(opt.options.size());
-      for (ProcId p : opt.options) sigs.push_back(action_sig(*sim, p));
+      for (ProcId p : opt.options) sigs.push_back(action_sig(*sim_, p));
     }
 
     // Branch point: checkpoint once, then every sibling after the first
     // restores from here instead of replaying `dirs_` from the root.
-    std::shared_ptr<const SimSnapshot> snap;
+    PooledSnapshot snap;
     if (cfg_.checkpoint && opt.options.size() + opt.crash_cand.size() > 1)
-      snap = take_snapshot(*sim);
+      snap = take_snapshot(*sim_);
 
     // Campaign mode: materialize this branch point's children now, while
     // the parent state is intact — directives and budgets exactly as the
     // loops below will compute them — so a checkpoint taken anywhere in the
-    // subtree can serialize the still-pending siblings.
+    // subtree can serialize the still-pending siblings. Entries past
+    // open_levels_ are kept for reuse, children capacity included.
     if (camp_ != nullptr) {
-      Level lvl;
+      if (open_levels_ == levels_.size()) levels_.emplace_back();
+      Level& lvl = levels_[open_levels_++];
       lvl.prefix_len = dirs_.size();
-      lvl.children.reserve(opt.options.size() + opt.crash_cand.size());
+      lvl.next = 0;
+      lvl.children.clear();
       for (const ProcId p : opt.options) {
         const int cost = (opt.current_runnable && p != current) ? 1 : 0;
         lvl.children.push_back(
-            PendingChild{make_directive(*sim, p), p, preemptions - cost,
+            PendingChild{make_directive(*sim_, p), p, preemptions - cost,
                          crashes_left});
       }
       for (const ProcId p : opt.crash_cand)
         lvl.children.push_back(PendingChild{
             Directive{ActionKind::kCrash, p}, current, preemptions,
             crashes_left - 1});
-      levels_.push_back(std::move(lvl));
     }
 
+    // Set once a child has run: the simulator then sits wherever that
+    // child's subtree left it, and the next sibling must rewind it first.
+    bool moved_on = false;
     for (std::size_t i = 0; i < opt.options.size(); ++i) {
       if (stop()) {
         maybe_suspend(/*include_current=*/false, current, preemptions,
                       crashes_left);
         return false;
       }
-      if (camp_ != nullptr) levels_.back().next = i + 1;
+      if (camp_ != nullptr) levels_[open_levels_ - 1].next = i + 1;
       const ProcId p = opt.options[i];
       if (cfg_.sleep_sets &&
           std::any_of(sleep.begin(), sleep.end(),
@@ -920,14 +947,14 @@ class Dfs {
       if (cfg_.sleep_sets)
         for (const SleepEntry& e : sleep)
           if (independent(e.sig, sigs[i])) child_sleep.push_back(e);
-      if (sim == nullptr) {  // a previous child consumed it
-        sim = snap != nullptr ? revive(*snap) : rebuild();
+      if (moved_on) {
+        rewind(snap.get());
         if (liveness_) reanchor_baseline(snap != nullptr, node_depth, current,
                                          node_nvars);
       }
-      const Directive d = make_directive(*sim, p);
+      const Directive d = make_directive(*sim_, p);
       try {
-        const bool ok = apply(*sim, d);
+        const bool ok = apply(*sim_, d);
         TPA_CHECK(ok, "candidate p" << p << " could not act");
       } catch (const CheckFailure& e) {
         dirs_.push_back(d);
@@ -938,11 +965,11 @@ class Dfs {
       const std::size_t prev_sched = last_sched_[p];
       last_sched_[p] = dirs_.size();
       const int cost = (opt.current_runnable && p != current) ? 1 : 0;
-      const bool child_complete = dfs(std::move(sim), p, preemptions - cost,
-                                      crashes_left, std::move(child_sleep));
+      const bool child_complete =
+          dfs(p, preemptions - cost, crashes_left, std::move(child_sleep));
       dirs_.pop_back();
       last_sched_[p] = prev_sched;
-      sim = nullptr;
+      moved_on = true;
       // An incomplete child means a sticky stop condition (violation,
       // budget, deadline, beaten) ended it mid-subtree: this subtree is not
       // fully explored either, so it must never enter the visited set.
@@ -962,15 +989,16 @@ class Dfs {
                       crashes_left);
         return false;
       }
-      if (camp_ != nullptr) levels_.back().next = opt.options.size() + j + 1;
-      if (sim == nullptr) {  // a previous child consumed it
-        sim = snap != nullptr ? revive(*snap) : rebuild();
+      if (camp_ != nullptr)
+        levels_[open_levels_ - 1].next = opt.options.size() + j + 1;
+      if (moved_on) {
+        rewind(snap.get());
         if (liveness_) reanchor_baseline(snap != nullptr, node_depth, current,
                                          node_nvars);
       }
       const Directive d{ActionKind::kCrash, p};
       try {
-        const bool ok = apply(*sim, d);
+        const bool ok = apply(*sim_, d);
         TPA_CHECK(ok, "crash candidate p" << p << " could not crash");
       } catch (const CheckFailure& e) {
         dirs_.push_back(d);
@@ -981,14 +1009,14 @@ class Dfs {
       const std::size_t prev_sched = last_sched_[p];
       last_sched_[p] = dirs_.size();
       const bool child_complete =
-          dfs(std::move(sim), current, preemptions, crashes_left - 1, {});
+          dfs(current, preemptions, crashes_left - 1, {});
       dirs_.pop_back();
       last_sched_[p] = prev_sched;
-      sim = nullptr;
+      moved_on = true;
       if (!child_complete) return false;
     }
 
-    if (camp_ != nullptr) levels_.pop_back();
+    if (camp_ != nullptr) --open_levels_;
     if (pkey_pushed) onstack_.pop(pkey, pkey_prev);
     if (dedup_here) record_visited(key, budget);
     return true;
@@ -1004,12 +1032,18 @@ class Dfs {
   bool dedup_ = false;
   bool symmetric_ = false;
   bool liveness_ = false;
+  /// The one simulator the whole subtree runs on (see dfs()).
+  std::unique_ptr<Simulator> sim_;
   /// Recycled branch-point snapshots (see take_snapshot).
   std::vector<std::unique_ptr<SimSnapshot>> snap_pool_;
+  /// opts_[d]: the option lists of the node at depth d on the current path.
+  std::deque<Options> opts_;
   std::vector<Directive> dirs_;
   ExplorerResult result_;
-  /// Campaign mode: one entry per open branch point of the recursion.
+  /// Campaign mode: levels_[0, open_levels_) are the open branch points of
+  /// the recursion, outermost first; later entries wait to be reused.
   std::vector<Level> levels_;
+  std::size_t open_levels_ = 0;
   /// Liveness mode: progress key → depth of the nearest stack occurrence.
   OnStackMap onstack_;
   /// Where the simulator's flushed fingerprint baseline sits on the
@@ -1162,8 +1196,9 @@ class FrontierBuilder {
     const bool use_snap = cfg_.checkpoint;
     auto sim = (use_snap && node.snap != nullptr) ? revive(*node.snap)
                                                   : rebuild(node.dirs);
-    const Options opt = enumerate_options(*sim, n_, node.current,
-                                          node.preemptions, node.crashes_left);
+    Options opt;
+    enumerate_options(*sim, n_, node.current, node.preemptions,
+                      node.crashes_left, opt);
     if (opt.cand.empty()) {
       result_.schedules++;
       shared_->charge();

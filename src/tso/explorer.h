@@ -222,7 +222,7 @@ struct ExplorerResult : RunStats {
   // (shrunk when config.shrink is set).
   bool exhausted = true;            ///< false if max_schedules was hit
   std::uint64_t snapshots = 0;  ///< checkpoints taken at branch points
-  std::uint64_t restores = 0;   ///< simulators revived from a checkpoint
+  std::uint64_t restores = 0;   ///< simulator states restored from one
   std::uint64_t dedup_hits = 0;    ///< subtrees pruned by the visited set
   std::uint64_t dedup_states = 0;  ///< (fingerprint, budget) inserts accepted
   std::uint64_t dedup_entries = 0;    ///< live visited-set entries at the end

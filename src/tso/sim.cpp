@@ -1240,13 +1240,32 @@ void Simulator::restore(const SimSnapshot& snap,
                             << observers_.size());
   restoring_ = true;
   // Coroutine frames cannot be copied: destroy any old programs (before the
-  // procs they reference), rebuild both, and fast-forward below.
+  // procs they reference), respawn them, and fast-forward below. The Proc
+  // objects are reset to their constructed state in place rather than
+  // reallocated, so their buffer / op-result / passage vectors keep their
+  // capacity across restores.
   programs_.clear();
   programs_.resize(n);
   recovery_.assign(n, nullptr);
-  procs_.clear();
-  for (std::size_t i = 0; i < n; ++i)
-    procs_.push_back(std::make_unique<Proc>(this, static_cast<ProcId>(i), n));
+  for (const auto& owned : procs_) {
+    Proc& p = *owned;
+    p.status_ = Status::kNcs;
+    p.mode_ = Mode::kRead;
+    p.buffer_.clear();
+    p.pending_ = SimOp{OpKind::kRead};
+    p.has_pending_ = false;
+    p.done_ = false;
+    p.crashed_ = false;
+    p.incarnations_ = 0;
+    p.resume_point_ = {};
+    p.op_results_.clear();
+    p.op_hash_ = Proc::kOpHashBasis;
+    p.fences_total_ = 0;
+    p.passages_done_ = 0;
+    p.cur_ = PassageStats{};
+    p.met_.reset();
+    p.finished_.clear();
+  }
   vars_.clear();
   seq_ = 0;
   touched_.reset();

@@ -401,8 +401,11 @@ class Simulator {
 
   /// Reinstates a snapshot taken from a simulator with the same shape: same
   /// process count, same config/observer set, and the same deterministic
-  /// scenario `build` (it is re-run to recreate the coroutines). Works on
-  /// the snapshot's own simulator or on a freshly constructed one.
+  /// scenario `build` (it is re-run to recreate the coroutines). Works on a
+  /// freshly constructed simulator or in place on any simulator of that
+  /// shape, whatever state it has diverged to since — the explorer's DFS
+  /// keeps one simulator and restores each sibling branch into it. In-place
+  /// restores reuse the process objects and their vector capacity.
   void restore(const SimSnapshot& snap,
                const std::function<void(Simulator&)>& build);
 

@@ -125,6 +125,40 @@ TEST(FuzzSmoke, StateDedupKeepsVerdictsAndWitnessesBitIdentical) {
       << "pruning must reduce executed machine events";
 }
 
+// Crash-budget exploration smoke: the recoverable lock at one preemption
+// and one crash, raw and with state dedup, sequential and on two workers.
+// Every sibling branch is restored in place on its explorer's one simulator,
+// so under the sanitize label this is the ASan+UBSan pass over restores that
+// tear down live coroutine frames and re-run recovery incarnations.
+TEST(FuzzSmoke, CrashBudgetExplorationRestoresInPlaceAcrossIncarnations) {
+  const auto* s = runtime::find_scenario("recoverable-2p");
+  ASSERT_NE(s, nullptr);
+  tso::ExplorerConfig cfg;
+  cfg.preemptions = 1;
+  cfg.max_crashes = 1;
+  cfg.max_steps = 150;
+  for (const tso::DedupMode dedup :
+       {tso::DedupMode::kOff, tso::DedupMode::kState}) {
+    cfg.dedup = dedup;
+    cfg.threads = 1;
+    const tso::ExplorerResult seq = s->explore(cfg);
+    cfg.threads = 2;
+    const tso::ExplorerResult par = s->explore(cfg);
+    const std::string what = std::string("dedup=") + tso::to_string(dedup);
+    for (const tso::ExplorerResult* r : {&seq, &par}) {
+      EXPECT_FALSE(r->verdict.found()) << what << ": " << r->verdict.message;
+      EXPECT_TRUE(r->exhausted) << what;
+      EXPECT_GT(r->restores, 0u) << what;
+    }
+    if (dedup == tso::DedupMode::kOff) {
+      // The raw tree is partitioned exactly across workers.
+      EXPECT_EQ(seq.schedules, par.schedules) << what;
+      EXPECT_EQ(seq.truncated, par.truncated) << what;
+      EXPECT_EQ(seq.steps, par.steps) << what;
+    }
+  }
+}
+
 // Visited-set semantics under forced shard collisions: every fingerprint
 // shares the same `hi` word, so all entries land in one shard and the probe
 // chains + in-place growth get exercised far past the initial table size.

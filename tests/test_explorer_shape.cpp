@@ -1,0 +1,149 @@
+// Golden tree shapes: the explorer's counters on the scopes the benchmark
+// workloads run (prove, certify, raw parallel), pinned to exact values.
+// Execution-strategy changes — how a sibling's simulator is materialized,
+// how scratch is recycled, how snapshots are pooled — change what a restore
+// or a branch point costs, never how many there are, so every counter and
+// the verdict must stay bit-identical.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <string>
+
+#include "runtime/scenario.h"
+#include "tso/explorer.h"
+#include "tso/visited.h"
+
+namespace tpa {
+namespace {
+
+using tso::ExplorerConfig;
+using tso::ExplorerResult;
+
+struct Counts {
+  std::uint64_t schedules, truncated, steps, snapshots, restores, dedup_hits,
+      dedup_states;
+};
+
+struct Golden {
+  const char* scenario;
+  int preemptions;
+  int max_crashes;
+  std::uint64_t max_steps;
+  bool symmetry;
+  std::uint64_t max_bytes;
+  Counts expect;
+};
+
+constexpr std::uint64_t kUnlimited = tso::VisitedSet::kUnlimitedBytes;
+
+/// The five `prove` scopes (dedup = state). The liveness checker never
+/// changes the tree on a clean scope, so the three `certify` scopes — the
+/// same bakery, tournament and ticket scopes with LivenessMode::kCheck —
+/// share these values.
+const Golden kProve[] = {
+    {"bakery-tso-3p", 2, 0, 80, false, kUnlimited,
+     {329, 11855, 394126, 14584, 22526, 10343, 50154}},
+    {"bakery-tso-3p", 2, 0, 80, false, 1u << 20,
+     {329, 12356, 429156, 14822, 22764, 10080, 54624}},
+    {"tournament-3p", 2, 0, 100, false, kUnlimited,
+     {533, 7392, 393000, 15254, 22257, 14333, 54190}},
+    {"recoverable-2p", 1, 1, 150, false, kUnlimited,
+     {219, 2664, 224774, 2984, 5458, 2576, 28061}},
+    {"ticket-3p", 2, 0, 300, true, kUnlimited,
+     {560, 2182, 340265, 3913, 5725, 2984, 44322}},
+};
+constexpr std::size_t kCertify[] = {0, 2, 4};  // indices into kProve
+
+ExplorerConfig config_of(const Golden& g) {
+  ExplorerConfig cfg;
+  cfg.preemptions = g.preemptions;
+  cfg.max_crashes = g.max_crashes;
+  cfg.max_steps = g.max_steps;
+  cfg.dedup = tso::DedupMode::kState;
+  if (g.symmetry) cfg.symmetric_processes = tso::SymmetryMode::kCanonical;
+  cfg.dedup_max_bytes = g.max_bytes;
+  return cfg;
+}
+
+std::string label_of(const Golden& g) {
+  return std::string(g.scenario) + " p" + std::to_string(g.preemptions) +
+         " c" + std::to_string(g.max_crashes) + " s" +
+         std::to_string(g.max_steps) + (g.symmetry ? " sym" : "") +
+         (g.max_bytes != kUnlimited ? " budget" : "");
+}
+
+void expect_shape(const ExplorerResult& r, const Counts& c,
+                  const std::string& what) {
+  EXPECT_FALSE(r.verdict.found()) << what << ": " << r.verdict.message;
+  EXPECT_TRUE(r.exhausted) << what;
+  EXPECT_EQ(r.schedules, c.schedules) << what;
+  EXPECT_EQ(r.truncated, c.truncated) << what;
+  EXPECT_EQ(r.steps, c.steps) << what;
+  EXPECT_EQ(r.snapshots, c.snapshots) << what;
+  EXPECT_EQ(r.restores, c.restores) << what;
+  EXPECT_EQ(r.dedup_hits, c.dedup_hits) << what;
+  EXPECT_EQ(r.dedup_states, c.dedup_states) << what;
+}
+
+const runtime::Scenario& scenario(const char* name) {
+  const runtime::Scenario* s = runtime::find_scenario(name);
+  EXPECT_NE(s, nullptr) << name;
+  return *s;
+}
+
+TEST(ExplorerShape, ProveScopesKeepTheirTreeShape) {
+  for (const Golden& g : kProve) {
+    const ExplorerResult r = scenario(g.scenario).explore(config_of(g));
+    expect_shape(r, g.expect, label_of(g));
+  }
+}
+
+TEST(ExplorerShape, CertifyScopesKeepTheirTreeShape) {
+  for (const std::size_t i : kCertify) {
+    const Golden& g = kProve[i];
+    ExplorerConfig cfg = config_of(g);
+    cfg.liveness = tso::LivenessMode::kCheck;
+    expect_shape(scenario(g.scenario).explore(cfg), g.expect,
+                 label_of(g) + " live");
+  }
+}
+
+TEST(ExplorerShape, CertifyScopesKeepTheirTreeShapeUnderACampaign) {
+  // Campaign mode records every open branch point's pending children; the
+  // bookkeeping must not perturb the tree it describes.
+  const std::string path =
+      ::testing::TempDir() + "tpa_explorer_shape.tpc";
+  for (const std::size_t i : kCertify) {
+    const Golden& g = kProve[i];
+    std::remove(path.c_str());
+    ExplorerConfig cfg = config_of(g);
+    cfg.liveness = tso::LivenessMode::kCheck;
+    cfg.campaign_path = path;
+    expect_shape(scenario(g.scenario).explore(cfg), g.expect,
+                 label_of(g) + " live campaign");
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ExplorerShape, RawParallelScopeKeepsItsTreeShape) {
+  // The `parallel` workload's raw scope. The frontier pre-pass takes its
+  // own snapshots and restores, so those two counters depend on the thread
+  // count; the schedule census and executed events do not.
+  ExplorerConfig cfg;
+  cfg.preemptions = 2;
+  cfg.max_steps = 100;
+  const struct {
+    int threads;
+    Counts expect;
+  } runs[] = {{1, {7802, 26851, 1327156, 24550, 34652, 0, 0}},
+              {2, {7802, 26851, 1327156, 24567, 34684, 0, 0}}};
+  for (const auto& run : runs) {
+    cfg.threads = run.threads;
+    expect_shape(scenario("bakery-tso-3p").explore(cfg), run.expect,
+                 "bakery-tso-3p p2 s100 raw t" + std::to_string(run.threads));
+  }
+}
+
+}  // namespace
+}  // namespace tpa

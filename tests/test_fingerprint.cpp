@@ -193,6 +193,129 @@ TEST(FingerprintDifferential, SnapshotRestoreRoundTripsIncrementalState) {
   }
 }
 
+/// Applies one seeded random directive (crash/recover included when
+/// `crashes`); false when nothing can act or the step raised a safety
+/// violation (the simulator is then left mid-event, as a violating schedule
+/// leaves it).
+bool random_step(Simulator& sim, std::mt19937_64& rng, bool crashes = true) {
+  std::vector<Directive> cand = possible_directives(sim, crashes);
+  if (cand.empty()) return false;
+  const Directive d =
+      cand[std::uniform_int_distribution<std::size_t>(0, cand.size() - 1)(
+          rng)];
+  try {
+    return apply(sim, d);
+  } catch (const CheckFailure&) {
+    return false;
+  }
+}
+
+/// Per-process state the diverging walk is meant to disturb.
+bool same_process_flags(const Simulator& a, const tso::SimSnapshot& snap) {
+  for (std::size_t p = 0; p < a.num_procs(); ++p) {
+    const tso::Proc& proc = a.proc(static_cast<ProcId>(p));
+    const tso::SimSnapshot::ProcState& ps = snap.procs[p];
+    if (proc.done() != ps.done || proc.crashed() != ps.crashed ||
+        proc.incarnations() != ps.incarnations ||
+        proc.buffer().size() != ps.buffer.size())
+      return false;
+  }
+  return true;
+}
+
+TEST(FingerprintDifferential, InPlaceRestoreOntoADivergedSimulator) {
+  // The explorer restores every sibling branch into its one simulator, which
+  // the previous sibling's subtree has driven anywhere: other incarnations,
+  // other crashed and done flags, other buffers, possibly a raised violation.
+  // Restoring in place must land on exactly the state a fresh simulator
+  // revives to.
+  std::size_t disturbed = 0;
+  for (const Scenario& s : scenario_registry()) {
+    const std::uint64_t seed = 0xd1ff0000 + s.n_procs;
+    auto sim = s.make_simulator();
+    // Crash/recover only where the scenario has recovery sections: a
+    // fail-stop crash ends a process for good, so random crashes would end
+    // every other walk within a few steps.
+    const bool crashes = sim->has_recovery(0);
+    // Walk a scratch simulator first to find a prefix that raises nothing,
+    // then stop the real walk one step short of any violation.
+    std::size_t safe = 0;
+    {
+      auto probe = s.make_simulator();
+      std::mt19937_64 rng(seed);
+      while (safe < 25 && random_step(*probe, rng, crashes)) ++safe;
+    }
+    std::mt19937_64 rng(seed);
+    for (std::size_t k = 0; k < safe; ++k)
+      ASSERT_TRUE(random_step(*sim, rng, crashes)) << s.name;
+    const tso::SimSnapshot snap = sim->snapshot();
+    const Fingerprint full = sim->fingerprint();
+    const Fingerprint progress = sim->fingerprint_progress();
+
+    // Diverge the same simulator down a different seeded schedule: crashes
+    // and recoveries first, then crash-free until every process is done and
+    // drained or a violation is raised mid-event.
+    std::mt19937_64 other(seed ^ 0xabcdef);
+    std::size_t diverged = 0;
+    bool live = true;
+    while (live && diverged < 30) {
+      live = random_step(*sim, other, crashes);
+      diverged += live ? 1 : 0;
+    }
+    while (live && diverged < 3000) {
+      live = random_step(*sim, other, /*crashes=*/false);
+      diverged += live ? 1 : 0;
+    }
+    if (diverged > 0) {
+      EXPECT_NE(sim->fingerprint(), full) << s.name;
+    }
+    disturbed += same_process_flags(*sim, snap) ? 0 : 1;
+
+    sim->restore(snap, s.build);
+    EXPECT_EQ(sim->fingerprint(), sim->fingerprint_oracle()) << s.name;
+    EXPECT_EQ(sim->fingerprint(), full) << s.name;
+    EXPECT_EQ(sim->fingerprint_progress(), sim->fingerprint_progress_oracle())
+        << s.name;
+    EXPECT_EQ(sim->fingerprint_progress(), progress) << s.name;
+    expect_matches_oracle(*sim, s.name + " restored in place");
+
+    // The tail from here must match a fresh simulator's revive step by
+    // step, violations included.
+    Simulator fresh(s.n_procs, s.sim);
+    fresh.restore(snap, s.build);
+    std::mt19937_64 tail(seed + 1);
+    for (std::size_t step = 0; step < 200; ++step) {
+      std::vector<Directive> cand = possible_directives(*sim, crashes);
+      ASSERT_EQ(cand.size(), possible_directives(fresh, crashes).size())
+          << s.name << " tail step " << step;
+      if (cand.empty()) break;
+      const Directive d = cand[std::uniform_int_distribution<std::size_t>(
+          0, cand.size() - 1)(tail)];
+      bool raised_in_place = false, raised_fresh = false;
+      try {
+        ASSERT_TRUE(apply(*sim, d));
+      } catch (const CheckFailure&) {
+        raised_in_place = true;
+      }
+      try {
+        ASSERT_TRUE(apply(fresh, d));
+      } catch (const CheckFailure&) {
+        raised_fresh = true;
+      }
+      ASSERT_EQ(raised_in_place, raised_fresh)
+          << s.name << " tail step " << step;
+      if (raised_in_place) break;
+      ASSERT_EQ(sim->fingerprint(), fresh.fingerprint())
+          << s.name << " tail step " << step;
+      ASSERT_EQ(sim->fingerprint(), sim->fingerprint_oracle())
+          << s.name << " tail step " << step;
+    }
+  }
+  EXPECT_GE(disturbed, scenario_registry().size() / 2)
+      << "too few diverging walks changed a done or crashed flag, an "
+         "incarnation or a buffer";
+}
+
 TEST(FingerprintDifferential, SnapshotIntoRecyclesBuffersExactly) {
   const Scenario* s = find_scenario("ticket-3p");
   ASSERT_NE(s, nullptr);
