@@ -69,6 +69,13 @@ struct Expected {
   AdaptivityClass cls;
 };
 
+// Without this gtest prints the raw bytes of the struct -- the name
+// pointer and the padding -- into the test name, which then changes from
+// build to build. The lock name is already the test-name suffix.
+void PrintTo(const Expected& e, std::ostream* os) {
+  *os << bounds::to_string(e.cls);
+}
+
 class EstimateZoo : public ::testing::TestWithParam<Expected> {};
 
 TEST_P(EstimateZoo, MeasuredClassMatchesDeclared) {
