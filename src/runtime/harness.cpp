@@ -4,6 +4,8 @@
 #include <thread>
 #include <vector>
 
+#include "util/deadline.h"
+
 namespace tpa::runtime {
 
 StressResult run_stress(RtLock& lock, int threads,
@@ -18,9 +20,8 @@ StressResult run_stress(RtLock& lock, int threads,
   // clock off the hot path). A thread stuck *inside* lock() cannot be
   // interrupted; the watchdog bounds livelock and starvation, which is
   // what experimental locks actually exhibit.
-  const bool has_deadline = time_budget_ms > 0;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(time_budget_ms);
+  const auto deadline = deadline_after(time_budget_ms);
+  const bool has_deadline = deadline != kNoDeadline;
   std::atomic<bool> stop{false};
 
   auto worker = [&](int tid) {

@@ -36,7 +36,8 @@ struct StressResult {
 /// Runs `threads` threads, each performing `ops_per_thread` lock/unlock
 /// passages around a shared plain counter increment. Collects the counted
 /// fences/RMWs of the lock/unlock sections only. `time_budget_ms` is a
-/// wall-clock watchdog (0 disables it): when it expires, threads stop at
+/// wall-clock watchdog (0 disables it, as does a budget too large for
+/// steady_clock to represent): when it expires, threads stop at
 /// their next passage boundary and the result reports deadline_hit — the
 /// same contract as ExplorerConfig::time_budget_ms, so CI sweeps over
 /// experimental locks are bounded even when a lock deadlocks.

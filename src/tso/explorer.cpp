@@ -15,6 +15,7 @@
 #include "tso/fuzz.h"
 #include "tso/visited.h"
 #include "util/check.h"
+#include "util/deadline.h"
 #include "util/work_queue.h"
 
 namespace tpa::tso {
@@ -70,13 +71,12 @@ namespace {
 struct Shared {
   Shared(std::uint64_t budget, std::uint64_t time_budget_ms)
       : max_schedules(budget),
-        has_deadline(time_budget_ms > 0),
-        deadline(std::chrono::steady_clock::now() +
-                 std::chrono::milliseconds(time_budget_ms)) {}
+        deadline(deadline_after(time_budget_ms)),
+        has_deadline(deadline != kNoDeadline) {}
 
   const std::uint64_t max_schedules;
-  const bool has_deadline;
   const std::chrono::steady_clock::time_point deadline;
+  const bool has_deadline;
   std::atomic<bool> deadline_tripped{false};
   std::atomic<std::uint64_t> used{0};  ///< schedules + truncated, all threads
   std::atomic<bool> over{false};       ///< budget tripped somewhere
@@ -95,16 +95,18 @@ struct Shared {
     return false;
   }
   void charge() { used.fetch_add(1, std::memory_order_relaxed); }
-  /// The watchdog. Once any thread observes the deadline passing, the
-  /// tripped flag makes every later call cheap (no clock read).
-  bool past_deadline() {
-    if (!has_deadline) return false;
-    if (deadline_tripped.load(std::memory_order_relaxed)) return true;
-    if (std::chrono::steady_clock::now() >= deadline) {
+  /// Trips the watchdog if `now` is past the deadline. Once tripped, the
+  /// flag stays set and every thread stops at its next poll.
+  void check_deadline(std::chrono::steady_clock::time_point now) {
+    if (has_deadline && now >= deadline)
       deadline_tripped.store(true, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
+  }
+  /// The watchdog with a clock read on every call. Only the frontier
+  /// builder polls this way (a few hundred expansions per run); the DFS
+  /// reads the clock on a stride (see Dfs::past_deadline).
+  bool past_deadline() {
+    if (has_deadline) check_deadline(std::chrono::steady_clock::now());
+    return deadline_tripped.load(std::memory_order_relaxed);
   }
   void claim(std::size_t index) {
     std::size_t cur = winner.load(std::memory_order_relaxed);
@@ -301,6 +303,13 @@ class Dfs {
   /// engagement rule in dfs()); bounds how far past a convergence point a
   /// redundant chain can run before it is pruned.
   static constexpr std::size_t kChainStride = 8;
+  /// The stop poll reads the wall clock on every this-many polls (the
+  /// first included) and only loads the watchdog flag in between: a
+  /// steady_clock read costs about a fifth of a DFS node. The same
+  /// `(i & 0xff)` cadence runtime::run_stress uses; it delays a watchdog
+  /// trip or a due checkpoint by at most this many polls — tens of
+  /// microseconds.
+  static constexpr std::uint32_t kClockStride = 256;
 
   Dfs(std::size_t n_procs, const SimConfig& sim_config,
       const ScenarioBuilder& build, const ExplorerConfig& config,
@@ -312,6 +321,7 @@ class Dfs {
         shared_(shared),
         index_(index),
         camp_(camp),
+        clocked_(shared->has_deadline || camp != nullptr),
         dedup_(config.dedup != DedupMode::kOff),
         symmetric_(config.symmetric_processes == SymmetryMode::kCanonical),
         liveness_(config.liveness == LivenessMode::kCheck) {}
@@ -594,18 +604,19 @@ class Dfs {
     trace::write_campaign_file(camp_->path, c);
   }
 
-  /// Periodic checkpoint, rate-limited by the configured interval. Runs at
-  /// node entry only (never mid-unwind), where the level stack is a
-  /// consistent picture of the remaining work. Self-pacing: a checkpoint
-  /// write is fsync-bound and can cost more than the interval itself (slow
-  /// or containerized filesystems), and a naive `now - last >= interval`
-  /// check then fires at *every* node entry — the exploration starves on
-  /// its own durability. Deferring the next write by a multiple of the
-  /// last write's measured cost bounds checkpoint overhead at ~20% of wall
-  /// clock whatever the filesystem does.
-  void maybe_periodic(ProcId current, int preemptions, int crashes_left) {
+  /// Periodic checkpoint, rate-limited by the configured interval: the
+  /// stop poll's clock read marks it due once `next_write` has passed, and
+  /// it is written at the next node entry (never mid-unwind), where the
+  /// level stack is a consistent picture of the remaining work.
+  /// Self-pacing: a checkpoint write is fsync-bound and can cost more than
+  /// the interval itself (slow or containerized filesystems), and a naive
+  /// `now - last >= interval` check then fires at every clock read — the
+  /// exploration starves on its own durability. Deferring the next write
+  /// by a multiple of the last write's measured cost bounds checkpoint
+  /// overhead at ~20% of wall clock whatever the filesystem does.
+  void write_periodic(ProcId current, int preemptions, int crashes_left) {
+    checkpoint_due_ = false;
     const auto start = std::chrono::steady_clock::now();
-    if (start < camp_->next_write) return;
     write_checkpoint(/*include_current=*/true, current, preemptions,
                      crashes_left);
     const auto end = std::chrono::steady_clock::now();
@@ -633,11 +644,26 @@ class Dfs {
       result_.exhausted = false;
       return true;
     }
-    if (shared_->past_deadline()) {
+    if (past_deadline()) {
       result_.exhausted = false;
       return true;
     }
     return false;
+  }
+
+  /// The watchdog half of stop(), and the one place the DFS reads the
+  /// clock: every kClockStride-th poll trips the shared watchdog if the
+  /// deadline has passed and marks a campaign checkpoint due if the
+  /// cadence says so. Other polls only load the tripped flag — which any
+  /// thread may have set.
+  bool past_deadline() {
+    if (clocked_ && --polls_to_clock_ == 0) {
+      polls_to_clock_ = kClockStride;
+      const auto now = std::chrono::steady_clock::now();
+      shared_->check_deadline(now);
+      if (camp_ != nullptr && now >= camp_->next_write) checkpoint_due_ = true;
+    }
+    return shared_->deadline_tripped.load(std::memory_order_relaxed);
   }
 
   /// `dirs_` must already end with the violating directive (for step
@@ -674,7 +700,7 @@ class Dfs {
                     crashes_left);
       return false;
     }
-    if (camp_ != nullptr) maybe_periodic(current, preemptions, crashes_left);
+    if (checkpoint_due_) write_periodic(current, preemptions, crashes_left);
     if (dirs_.size() >= cfg_.max_steps) {
       result_.truncated++;
       shared_->charge();
@@ -1029,6 +1055,15 @@ class Dfs {
   Shared* shared_;
   std::size_t index_;
   CampaignRecorder* camp_ = nullptr;
+  /// Whether stop() polls the clock at all: only for a watchdog or a
+  /// campaign cadence.
+  bool clocked_ = false;
+  /// Polls left until the next clock read; 1 so the first poll reads it
+  /// and a deadline that has already passed stops the run at once.
+  std::uint32_t polls_to_clock_ = 1;
+  /// Campaign mode: the last clock read found the checkpoint interval
+  /// passed; the next node entry writes one.
+  bool checkpoint_due_ = false;
   bool dedup_ = false;
   bool symmetric_ = false;
   bool liveness_ = false;

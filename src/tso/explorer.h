@@ -101,8 +101,11 @@ struct ExplorerConfig {
   /// bit-identical to a crash-free exploration.
   int max_crashes = 0;
   /// Wall-clock watchdog for the whole exploration, in milliseconds; 0
-  /// disables it. When the deadline passes, exploration stops where it is
-  /// and the result reports deadline_hit (and exhausted = false).
+  /// disables it, and so does a budget too large for steady_clock to
+  /// represent (UINT64_MAX included). The DFS reads the clock once every
+  /// 256 stop polls, so once the deadline passes exploration stops within
+  /// one clock poll — at most 256 polls, tens of microseconds — and the
+  /// result reports deadline_hit (and exhausted = false).
   std::uint64_t time_budget_ms = 0;
   /// Invariant checked at the end of every complete schedule.
   ScheduleHook on_complete;
@@ -187,12 +190,15 @@ struct ExplorerConfig {
   /// materialized frontier node would miss). See docs/ROBUSTNESS.md.
   std::string campaign_path;
 
-  /// Minimum milliseconds between periodic campaign checkpoints. A
-  /// checkpoint is also written before the first step (so a kill at any
-  /// point finds a resumable file) and when the time budget trips. The
-  /// cadence is self-pacing: when a write (fsync-bound) costs more than
-  /// the interval, the next one is deferred by a multiple of the measured
-  /// cost, bounding checkpoint overhead at ~20% of wall clock.
+  /// Minimum milliseconds between periodic campaign checkpoints. The
+  /// interval is checked on the watchdog's clock poll (every 256 stop
+  /// polls); a checkpoint is written at the first node entry after a poll
+  /// finds it passed. A checkpoint is also written before the first step
+  /// (so a kill at any point finds a resumable file) and when the time
+  /// budget trips. The cadence is self-pacing: when a write (fsync-bound)
+  /// costs more than the interval, the next one is deferred by a multiple
+  /// of the measured cost, bounding checkpoint overhead at ~20% of wall
+  /// clock.
   std::uint64_t checkpoint_interval_ms = 250;
 
   /// Scenario id recorded in the campaign header so runtime::resume() can
@@ -206,10 +212,13 @@ struct ExplorerConfig {
 /// campaign config hash: a resume may pick a fresh time budget or
 /// checkpoint cadence without changing what is explored.
 struct ResumeOptions {
-  /// Watchdog for this leg of the campaign (0 = none). A leg that hits it
-  /// checkpoints and reports deadline_hit; resume again to continue.
+  /// Watchdog for this leg of the campaign (0 = none, as is a budget too
+  /// large to represent), with ExplorerConfig::time_budget_ms' polling. A
+  /// leg that hits it checkpoints at the poll that sees the trip and
+  /// reports deadline_hit; resume again to continue.
   std::uint64_t time_budget_ms = 0;
-  /// Checkpoint cadence for this leg.
+  /// Checkpoint cadence for this leg (see
+  /// ExplorerConfig::checkpoint_interval_ms).
   std::uint64_t checkpoint_interval_ms = 250;
 };
 

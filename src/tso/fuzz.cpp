@@ -7,6 +7,7 @@
 
 #include "tso/schedulers.h"
 #include "util/check.h"
+#include "util/deadline.h"
 #include "util/rng.h"
 
 namespace tpa::tso {
@@ -398,12 +399,10 @@ FuzzResult fuzz(std::size_t n_procs, SimConfig sim_config,
   }
   Rng rng(config.seed);
   std::vector<std::vector<Directive>> corpus;
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(config.time_budget_ms);
+  const auto deadline = deadline_after(config.time_budget_ms);
 
   for (std::uint64_t run = 0; run < config.runs; ++run) {
-    if (config.time_budget_ms != 0 &&
+    if (deadline != kNoDeadline &&
         std::chrono::steady_clock::now() >= deadline) {
       result.deadline_hit = true;
       break;

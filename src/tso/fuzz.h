@@ -123,7 +123,8 @@ struct FuzzConfig {
   /// Upper bound on injected crashes per run (counting crashes replayed
   /// from a mutated corpus schedule).
   int max_crashes = 2;
-  /// Wall-clock budget in milliseconds; 0 = none. Checked between runs, so
+  /// Wall-clock budget in milliseconds; 0 = none, as is a budget too large
+  /// for steady_clock to represent. Checked between runs, so
   /// the pass is time-bounded but the number of runs becomes
   /// machine-dependent — use `runs` alone where strict reproducibility of
   /// the whole pass matters (each run is seed-deterministic either way).

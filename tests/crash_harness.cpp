@@ -11,7 +11,9 @@
 // either the previous checkpoint or the new one, never a torn file). The
 // child is restarted with resume() until a final un-killed leg completes,
 // and the terminal campaign must carry the reference verdict, witness, and
-// — dedup off — the exact schedule/truncated counts.
+// — dedup off — the exact schedule/truncated counts. Across all scopes, at
+// least one killed leg must have left a mid-run checkpoint behind: parity
+// alone would also hold if no periodic checkpoint were ever written.
 //
 // Plain main() rather than gtest: the fork/exec-free child must _exit()
 // without running atexit handlers, which is awkward inside a test fixture.
@@ -92,6 +94,12 @@ constexpr Scope kScopes[] = {
 constexpr std::uint64_t kIntervalMs = 10;
 
 int failures = 0;
+/// Killed legs that left a mid-run checkpoint behind: an in-flight file
+/// whose frontier is more than the lone root node the campaign starts
+/// with. With no watchdog configured, only a periodic checkpoint writes
+/// one, so a zero count means the cadence never fired — which resume
+/// parity alone cannot notice (resuming from the root is the whole run).
+int midrun_kills = 0;
 
 void fail(const Scope& scope, const std::string& why) {
   std::fprintf(stderr, "FAIL %s pre=%d cr=%d%s: %s\n", scope.scenario,
@@ -181,7 +189,8 @@ int run_scope(const Scope& scope, const std::string& dir, std::mt19937& rng) {
     kill(pid, SIGKILL);
     int status = 0;
     waitpid(pid, &status, 0);
-    if (WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL) {
+    const bool was_killed = WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL;
+    if (was_killed) {
       ++killed;
     } else if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
       fail(scope, "child failed with status " + std::to_string(status));
@@ -194,6 +203,9 @@ int run_scope(const Scope& scope, const std::string& dir, std::mt19937& rng) {
     std::string error;
     if (tpa::trace::try_read_campaign_file(path, &snap, &error)) {
       if (snap.complete) break;  // finished before (or despite) the kill
+      const bool root_only =
+          snap.frontier.size() == 1 && snap.frontier[0].dirs.empty();
+      if (was_killed && !root_only) ++midrun_kills;
     } else if (error.find("cannot open") == std::string::npos) {
       fail(scope, "torn campaign file after kill: " + error);
       return killed;
@@ -308,12 +320,20 @@ int main() {
                  "not exercising recovery\n");
     ++failures;
   }
+  if (midrun_kills == 0) {
+    std::fprintf(stderr,
+                 "FAIL no killed leg left a mid-run checkpoint — periodic "
+                 "checkpoints are not being written\n");
+    ++failures;
+  }
   rmdir(dir);
   if (failures != 0) {
     std::fprintf(stderr, "%d scope(s) failed\n", failures);
     return 1;
   }
-  std::printf("all scopes recovered to the uninterrupted verdict (%d kills)\n",
-              total_kills);
+  std::printf(
+      "all scopes recovered to the uninterrupted verdict (%d kills, %d of "
+      "them leaving a mid-run checkpoint)\n",
+      total_kills, midrun_kills);
   return 0;
 }

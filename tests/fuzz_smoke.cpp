@@ -11,6 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include "runtime/harness.h"
+#include "runtime/locks.h"
 #include "runtime/scenario.h"
 #include "tso/fuzz.h"
 #include "tso/schedule.h"
@@ -156,6 +158,59 @@ TEST(FuzzSmoke, CrashBudgetExplorationRestoresInPlaceAcrossIncarnations) {
       EXPECT_EQ(seq.truncated, par.truncated) << what;
       EXPECT_EQ(seq.steps, par.steps) << what;
     }
+  }
+}
+
+// A watchdog budget too large for steady_clock to represent means no
+// watchdog at all: UINT64_MAX (which a signed conversion wraps to -1 ms)
+// and 1e13 ms (which overflows a nanosecond time_point) must both run
+// exactly like a budget of 0 — never stop at once with deadline_hit. Under
+// the sanitize label UBSan also checks the deadline arithmetic for signed
+// overflow.
+TEST(FuzzSmoke, UnrepresentableTimeBudgetMeansNoDeadline) {
+  const std::uint64_t huge[] = {~0ULL, 10'000'000'000'000ULL};
+  const auto* s = runtime::find_scenario("bakery-tso-2p");
+  ASSERT_NE(s, nullptr);
+  for (const int threads : {1, 2}) {
+    tso::ExplorerConfig cfg;
+    cfg.preemptions = 1;
+    cfg.threads = threads;
+    const tso::ExplorerResult none = s->explore(cfg);
+    ASSERT_TRUE(none.exhausted);
+    ASSERT_GT(none.schedules, 0u);
+    for (const std::uint64_t budget : huge) {
+      cfg.time_budget_ms = budget;
+      const tso::ExplorerResult r = s->explore(cfg);
+      const std::string what = "explore threads=" + std::to_string(threads) +
+                               " budget=" + std::to_string(budget);
+      EXPECT_FALSE(r.deadline_hit) << what;
+      EXPECT_TRUE(r.exhausted) << what;
+      EXPECT_EQ(r.schedules, none.schedules) << what;
+      EXPECT_EQ(r.truncated, none.truncated) << what;
+    }
+  }
+
+  tso::FuzzConfig fcfg;
+  fcfg.seed = 0xC0FFEEULL;
+  fcfg.runs = 200;
+  const tso::FuzzResult fnone = s->fuzz(fcfg);
+  ASSERT_EQ(fnone.schedules, fcfg.runs);
+  for (const std::uint64_t budget : huge) {
+    fcfg.time_budget_ms = budget;
+    const tso::FuzzResult r = s->fuzz(fcfg);
+    const std::string what = "fuzz budget=" + std::to_string(budget);
+    EXPECT_FALSE(r.deadline_hit) << what;
+    EXPECT_EQ(r.schedules, fnone.schedules) << what;
+    EXPECT_EQ(r.schedule_digest, fnone.schedule_digest) << what;
+  }
+
+  for (const std::uint64_t budget : huge) {
+    auto lock = runtime::rt_lock_zoo()[2].make(2);  // ticket
+    const runtime::StressResult r = runtime::run_stress(*lock, 2, 2000, budget);
+    const std::string what = "run_stress budget=" + std::to_string(budget);
+    EXPECT_FALSE(r.deadline_hit) << what;
+    EXPECT_EQ(r.total_ops, 4000u) << what;
+    EXPECT_TRUE(r.exclusion_ok) << what;
   }
 }
 
