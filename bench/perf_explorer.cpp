@@ -20,18 +20,16 @@
 // (DedupMode::kState) and its symmetry-canonicalized variant on the
 // interchangeable-process ticket lock. BM_FuzzThroughput tracks the
 // randomized pipeline (runs/s on a safe lock, i.e. no early exit).
-// BM_CheckpointVsReplay pits snapshot/restore at branch points against
-// replaying every prefix from the root — same schedule tree, so the
-// `events/schedule` counter isolates the redundant re-execution that
-// checkpointing eliminates.
 //
 // Before the google-benchmark suite runs, main() measures two head-to-head
 // comparisons on exhausted bounds and writes them for machine consumption by
 // CI trend tracking:
-//   BENCH_explorer.json        checkpoint vs replay (events_reduction)
-//   BENCH_explorer_dedup.json  dedup off vs on across bakery / tournament /
-//                              recoverable / ticket+symmetry scopes, each
-//                              recording events_reduction and verdicts_match
+//   BENCH_explorer_dedup.json     dedup off vs on across bakery /
+//                                 tournament / recoverable / ticket+symmetry
+//                                 scopes, each recording events_reduction
+//                                 and verdicts_match
+//   BENCH_explorer_liveness.json  liveness off vs on on clean scopes, plus
+//                                 the tas-loop-2p starvation lasso
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -142,25 +140,6 @@ void BM_FuzzThroughput(benchmark::State& state) {
                                                 benchmark::Counter::kIsRate);
 }
 
-void BM_CheckpointVsReplay(benchmark::State& state) {
-  const auto& s = scenario("bakery-tso-2p");
-  tso::ExplorerConfig cfg;
-  cfg.preemptions = 2;
-  cfg.checkpoint = state.range(0) != 0;
-  state.SetLabel(cfg.checkpoint ? "checkpoint" : "replay");
-  std::uint64_t events = 0, schedules = 0;
-  for (auto _ : state) {
-    const auto r = s.explore(cfg);
-    benchmark::DoNotOptimize(r.verdict.found());
-    events += r.steps;
-    schedules += r.schedules + r.truncated;
-  }
-  state.counters["events/schedule"] =
-      static_cast<double>(events) / static_cast<double>(schedules);
-  state.counters["schedules/s"] = benchmark::Counter(
-      static_cast<double>(schedules), benchmark::Counter::kIsRate);
-}
-
 /// CPU time consumed so far by the calling thread, in milliseconds.
 double thread_cpu_ms() {
   timespec ts{};
@@ -228,41 +207,6 @@ int publish_json(const char* path, const std::string& content) {
     std::fprintf(stderr, "cannot write %s: %s\n", path, e.what());
     return 1;
   }
-  return 0;
-}
-
-/// Head-to-head checkpoint-vs-replay run, written to BENCH_explorer.json.
-int write_comparison(const char* path) {
-  const auto& s = scenario("bakery-tso-2p");
-  tso::ExplorerConfig cfg;
-  cfg.preemptions = 2;
-  cfg.checkpoint = false;
-  const ModeResult replay = run_mode(s, cfg);
-  cfg.checkpoint = true;
-  const ModeResult ckpt = run_mode(s, cfg);
-  const double ratio =
-      static_cast<double>(replay.result.steps) /
-      static_cast<double>(ckpt.result.steps ? ckpt.result.steps : 1);
-
-  std::ostringstream out;
-  out << "{\n  \"bench\": \"explorer-checkpoint\",\n"
-      << "  \"scenario\": \"bakery-tso-2p\",\n  \"preemptions\": 2,\n"
-      << "  \"modes\": [\n";
-  emit_json(out, "replay", replay);
-  out << ",\n";
-  emit_json(out, "checkpoint", ckpt);
-  out << "\n  ],\n  \"events_reduction\": " << ratio << ",\n"
-      << "  \"schedules_match\": "
-      << (replay.result.schedules == ckpt.result.schedules ? "true" : "false")
-      << "\n}\n";
-  if (const int rc = publish_json(path, out.str()); rc != 0) return rc;
-
-  std::printf(
-      "checkpoint/restore: %llu events vs %llu replayed (%.2fx reduction), "
-      "%llu schedules both modes -> %s\n",
-      static_cast<unsigned long long>(ckpt.result.steps),
-      static_cast<unsigned long long>(replay.result.steps), ratio,
-      static_cast<unsigned long long>(ckpt.result.schedules), path);
   return 0;
 }
 
@@ -506,11 +450,6 @@ BENCHMARK(BM_StateDedup)
     ->Arg(2)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FuzzThroughput)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_CheckpointVsReplay)
-    ->ArgName("ckpt")
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   // Gate mode (the `perf-smoke` ctest): only the dedup ablation runs, and
@@ -545,8 +484,6 @@ int main(int argc, char** argv) {
                                      /*reps=*/15, threshold);
   }
 
-  if (const int rc = write_comparison("BENCH_explorer.json"); rc != 0)
-    return rc;
   if (const int rc = write_dedup_comparison("BENCH_explorer_dedup.json",
                                             /*reps=*/3, /*max_wall_ratio=*/-1);
       rc != 0)

@@ -94,7 +94,7 @@ std::uint64_t campaign_config_hash(const Campaign& c) {
   h = fnv1a(h, tso::to_string(c.liveness));
   h = fnv1a_u64(h, c.dedup_max_bytes);
   h = fnv1a_u64(h, c.shrink ? 1 : 0);
-  h = fnv1a_u64(h, c.checkpoint ? 1 : 0);
+  h = fnv1a_u64(h, 1);  // the `checkpoint 1` line (see Campaign)
   return h;
 }
 
@@ -113,7 +113,7 @@ void write_campaign(std::ostream& os, const Campaign& c) {
   os << "liveness " << tso::to_string(c.liveness) << "\n";
   os << "dedup-max-bytes " << c.dedup_max_bytes << "\n";
   os << "shrink " << (c.shrink ? 1 : 0) << "\n";
-  os << "checkpoint " << (c.checkpoint ? 1 : 0) << "\n";
+  os << "checkpoint 1\n";
   os << "config-hash " << std::hex << campaign_config_hash(c) << std::dec
      << "\n";
   os << "schedules " << c.schedules << "\n";
@@ -249,7 +249,9 @@ Campaign read_campaign(std::istream& is) {
     } else if (key == "shrink") {
       c.shrink = read_flag(ls, "shrink");
     } else if (key == "checkpoint") {
-      c.checkpoint = read_flag(ls, "checkpoint");
+      TPA_CHECK(read_flag(ls, "checkpoint"),
+                "campaign: 'checkpoint 0' was recorded in replay mode, and "
+                "replay mode was removed — restart the campaign");
     } else if (key == "config-hash") {
       TPA_CHECK(static_cast<bool>(ls >> std::hex >> stored_hash),
                 "campaign: bad config-hash line '" << line << "'");

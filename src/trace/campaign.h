@@ -61,7 +61,11 @@ struct Campaign {
   tso::LivenessMode liveness = tso::LivenessMode::kOff;
   std::uint64_t dedup_max_bytes = ~0ull;
   bool shrink = true;
-  bool checkpoint = true;
+  // The file still carries a `checkpoint 1` line, hashed like the fields
+  // above: it once selected snapshot restores over prefix replay, and
+  // keeping it keeps every v2 file reading, hashing and resuming unchanged.
+  // Snapshot restores are now the only strategy, so `checkpoint 0` files
+  // are rejected.
 
   // -- aggregate stats of the completed work --------------------------------
   std::uint64_t schedules = 0;
@@ -104,7 +108,8 @@ void write_campaign(std::ostream& os, const Campaign& campaign);
 /// Parses write_campaign output; raises CheckFailure on malformed input or
 /// a config-hash mismatch. v1 files (no liveness line, pre-verdict terminal
 /// fields) are rejected with an explicit stale-version message: their hash
-/// does not cover the liveness mode a resume would need.
+/// does not cover the liveness mode a resume would need. So are files
+/// recorded in the removed replay mode (`checkpoint 0`).
 Campaign read_campaign(std::istream& is);
 
 /// String-based conveniences over the stream versions.

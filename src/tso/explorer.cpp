@@ -64,6 +64,20 @@ std::string ExplorerResult::to_json() const {
   return os.str();
 }
 
+void ExplorerResult::merge(const ExplorerResult& later) {
+  schedules += later.schedules;
+  steps += later.steps;
+  truncated += later.truncated;
+  snapshots += later.snapshots;
+  restores += later.restores;
+  dedup_hits += later.dedup_hits;
+  dedup_states += later.dedup_states;
+  dedup_evictions += later.dedup_evictions;
+  exhausted = exhausted && later.exhausted;
+  deadline_hit = deadline_hit || later.deadline_hit;
+  if (!verdict.found()) verdict = later.verdict;
+}
+
 namespace {
 
 // ---- shared cross-thread exploration state ------------------------------
@@ -96,17 +110,11 @@ struct Shared {
   }
   void charge() { used.fetch_add(1, std::memory_order_relaxed); }
   /// Trips the watchdog if `now` is past the deadline. Once tripped, the
-  /// flag stays set and every thread stops at its next poll.
+  /// flag stays set and every thread stops at its next poll. Only the DFS
+  /// reads the clock, on a stride (see Dfs::past_deadline).
   void check_deadline(std::chrono::steady_clock::time_point now) {
     if (has_deadline && now >= deadline)
       deadline_tripped.store(true, std::memory_order_relaxed);
-  }
-  /// The watchdog with a clock read on every call. Only the frontier
-  /// builder polls this way (a few hundred expansions per run); the DFS
-  /// reads the clock on a stride (see Dfs::past_deadline).
-  bool past_deadline() {
-    if (has_deadline) check_deadline(std::chrono::steady_clock::now());
-    return deadline_tripped.load(std::memory_order_relaxed);
   }
   void claim(std::size_t index) {
     std::size_t cur = winner.load(std::memory_order_relaxed);
@@ -151,14 +159,6 @@ struct SleepEntry {
 };
 using SleepSet = std::vector<SleepEntry>;
 
-bool can_act(const Simulator& sim, ProcId p) {
-  const Proc& proc = sim.proc(p);
-  // A crashed process' only possible step is recovering (if it can).
-  if (proc.crashed()) return sim.has_recovery(p);
-  if (!proc.done() && proc.has_pending()) return true;
-  return !proc.buffer().empty();
-}
-
 /// The directive one scheduler step for p resolves to: delivering its next
 /// program event if it has one, otherwise a head commit draining its buffer.
 /// Exactly the step the old deliver-then-commit probing applied, but named
@@ -168,17 +168,6 @@ Directive make_directive(const Simulator& sim, ProcId p) {
   if (proc.crashed()) return {ActionKind::kRecover, p};
   if (!proc.done() && proc.has_pending()) return {ActionKind::kDeliver, p};
   return {ActionKind::kCommit, p, kNoVar};
-}
-
-/// Applies a directive; false if the process cannot act that way.
-bool apply(Simulator& sim, const Directive& d) {
-  switch (d.kind) {
-    case ActionKind::kDeliver: return sim.deliver(d.proc);
-    case ActionKind::kCommit: return sim.commit(d.proc, d.var);
-    case ActionKind::kCrash: return sim.crash(d.proc);
-    case ActionKind::kRecover: return sim.recover(d.proc);
-  }
-  return false;
 }
 
 ActionSig action_sig(const Simulator& sim, ProcId p) {
@@ -200,77 +189,97 @@ ActionSig action_sig(const Simulator& sim, ProcId p) {
   return {ActionSig::kOther, kNoVar};
 }
 
-// ---- option enumeration (shared by DFS and frontier expansion) -----------
+// ---- child enumeration (shared by the DFS, checkpoints and the pre-pass) --
 
-struct Options {
-  std::vector<ProcId> cand;        ///< processes that can act
-  std::vector<ProcId> options;     ///< explored children, in order
-  std::vector<ProcId> crash_cand;  ///< processes the adversary may crash
-  bool current_runnable = false;
-};
-
-/// Candidates in a stable order; continuing the current process is free,
-/// preempting it costs budget. If the current process cannot act, switching
-/// is free. Crash candidates come last: with crashes_left == 0 the option
-/// list is bit-identical to a crash-free exploration. Fills `o` in place
-/// (clearing it first), so a caller that recycles it allocates nothing.
-void enumerate_options(const Simulator& sim, std::size_t n, ProcId current,
-                       int preemptions, int crashes_left, Options& o) {
-  o.cand.clear();
-  o.options.clear();
-  o.crash_cand.clear();
-  for (std::size_t p = 0; p < n; ++p)
-    if (can_act(sim, static_cast<ProcId>(p)))
-      o.cand.push_back(static_cast<ProcId>(p));
-  if (crashes_left > 0)
-    for (std::size_t p = 0; p < n; ++p)
-      if (sim.can_crash(static_cast<ProcId>(p)))
-        o.crash_cand.push_back(static_cast<ProcId>(p));
-  o.current_runnable =
-      current != kNoProc &&
-      std::find(o.cand.begin(), o.cand.end(), current) != o.cand.end();
-  if (o.current_runnable) {
-    o.options.push_back(current);
-    if (preemptions > 0)
-      for (ProcId p : o.cand)
-        if (p != current) o.options.push_back(p);
-  } else {
-    o.options = o.cand;
-  }
-}
-
-/// A schedule prefix at which a worker's subtree DFS is rooted. In
-/// checkpoint mode `snap` holds the machine state *after* `dirs`, so the
-/// worker resumes without replaying a single event.
-struct Node {
-  std::vector<Directive> dirs;
-  ProcId current = kNoProc;
-  int preemptions = 0;
-  int crashes_left = 0;
-  SleepSet sleep;
-  std::shared_ptr<const SimSnapshot> snap;
-};
-
-// ---- durable campaign checkpointing --------------------------------------
-
-/// One unexplored sibling at an open branch point of the running DFS. The
-/// directive and the child's budgets are computed when the branch point is
-/// expanded (the parent state is still intact then), so a checkpoint can
-/// serialize pending children without touching the simulator.
-struct PendingChild {
+/// One child of a node: the directive that enters it and the scheduler /
+/// adversary context it starts with. Computed while the parent state is
+/// intact, so a campaign checkpoint or the parallel pre-pass can hand an
+/// unexplored child on as a frontier node without touching the simulator.
+struct Child {
   Directive d;
   ProcId current = kNoProc;
   int preemptions = 0;
   int crashes_left = 0;
 };
 
-/// The recursion stack's view of one branch point: children [next..) are
-/// still unexplored, and the node's directive prefix is the first
-/// `prefix_len` entries of the DFS' running `dirs_`.
+struct Children {
+  std::vector<ProcId> cand;  ///< processes that can act (the enabled set)
+  std::vector<Child> list;   ///< in DFS order: scheduling, then crash
+};
+
+/// The one place the budget rules live. Scheduling children come first, in
+/// a stable order: continuing the current process is free, preempting it
+/// costs one preemption, and if the current process cannot act, switching
+/// is free. Crash children come last: a crash is an adversary move, not a
+/// context switch — it keeps `current`, costs no preemption and spends one
+/// crash. With crashes_left == 0 the list is bit-identical to a crash-free
+/// exploration. Fills `out` in place (clearing it first), so a caller that
+/// recycles it allocates nothing.
+void enumerate_children(const Simulator& sim, std::size_t n, ProcId current,
+                        int preemptions, int crashes_left, Children& out) {
+  out.cand.clear();
+  out.list.clear();
+  for (std::size_t p = 0; p < n; ++p)
+    if (sim.can_act(static_cast<ProcId>(p)))
+      out.cand.push_back(static_cast<ProcId>(p));
+  const bool current_runnable =
+      current != kNoProc &&
+      std::find(out.cand.begin(), out.cand.end(), current) != out.cand.end();
+  auto schedule = [&](ProcId p, int cost) {
+    out.list.push_back(
+        Child{make_directive(sim, p), p, preemptions - cost, crashes_left});
+  };
+  if (current_runnable) {
+    schedule(current, 0);
+    if (preemptions > 0)
+      for (const ProcId p : out.cand)
+        if (p != current) schedule(p, 1);
+  } else {
+    for (const ProcId p : out.cand) schedule(p, 0);
+  }
+  if (crashes_left > 0)
+    for (std::size_t p = 0; p < n; ++p)
+      if (sim.can_crash(static_cast<ProcId>(p)))
+        out.list.push_back(Child{{ActionKind::kCrash, static_cast<ProcId>(p)},
+                                 current, preemptions, crashes_left - 1});
+}
+
+/// Signatures of a node's scheduling children, taken at the node's state
+/// before any child moves the simulator on; sleeping processes have not
+/// stepped since their entry was recorded, so stored signatures stay valid.
+void child_signatures(const Simulator& sim, const Children& kids,
+                      std::vector<ActionSig>& sigs) {
+  sigs.clear();
+  for (const Child& ch : kids.list)
+    if (ch.d.kind != ActionKind::kCrash)
+      sigs.push_back(action_sig(sim, ch.d.proc));
+}
+
+/// The sleep set child `i` enters with, from the node's running set
+/// `sleep`; false if the child is asleep — equivalent to an explored
+/// schedule where its process moves later — and is pruned. Crash children
+/// are dependent with everything (memory and buffers change wholesale), so
+/// they are never pruned and start with an empty set.
+bool wake(const SleepSet& sleep, const Child& ch,
+          const std::vector<ActionSig>& sigs, std::size_t i,
+          SleepSet& child_sleep) {
+  if (ch.d.kind == ActionKind::kCrash) return true;
+  for (const SleepEntry& e : sleep)
+    if (e.proc == ch.d.proc) return false;
+  for (const SleepEntry& e : sleep)
+    if (independent(e.sig, sigs[i])) child_sleep.push_back(e);
+  return true;
+}
+
+// ---- durable campaign checkpointing --------------------------------------
+
+/// The recursion stack's view of one branch point: the children of the
+/// node at depth `prefix_len` (whose directive prefix is the first
+/// `prefix_len` entries of the DFS' running `dirs_`) from `next` on are
+/// still unexplored.
 struct Level {
   std::size_t prefix_len = 0;
   std::size_t next = 0;
-  std::vector<PendingChild> children;
 };
 
 /// Shared context for campaign-mode exploration (sequential only). The
@@ -295,7 +304,37 @@ struct CampaignRecorder {
   std::size_t outer_next = 0;
 };
 
-// ---- the DFS core (runs from the root, or from a frontier prefix) --------
+/// A campaign's recorded stats, exhaustion and verdict as a result. With
+/// store_result, the one place Campaign and ExplorerResult fields meet.
+ExplorerResult result_of(const trace::Campaign& c) {
+  ExplorerResult r;
+  r.schedules = c.schedules;
+  r.steps = c.steps;
+  r.truncated = c.truncated;
+  r.snapshots = c.snapshots;
+  r.restores = c.restores;
+  r.dedup_hits = c.dedup_hits;
+  r.dedup_states = c.dedup_states;
+  r.dedup_evictions = c.dedup_evictions;
+  r.exhausted = c.exhausted;
+  r.verdict = c.verdict;
+  return r;
+}
+
+void store_result(trace::Campaign& c, const ExplorerResult& r) {
+  c.schedules = r.schedules;
+  c.steps = r.steps;
+  c.truncated = r.truncated;
+  c.snapshots = r.snapshots;
+  c.restores = r.restores;
+  c.dedup_hits = r.dedup_hits;
+  c.dedup_states = r.dedup_states;
+  c.dedup_evictions = r.dedup_evictions;
+  c.exhausted = r.exhausted;
+  c.verdict = r.verdict;
+}
+
+// ---- the DFS core: explores the subtree under one frontier node ----------
 
 class Dfs {
  public:
@@ -326,77 +365,47 @@ class Dfs {
         symmetric_(config.symmetric_processes == SymmetryMode::kCanonical),
         liveness_(config.liveness == LivenessMode::kCheck) {}
 
-  void run_root() {
-    dirs_.clear();
-    baseline_depth_ = kNoBaseline;
-    skips_since_check_ = kLiveKeyStride;
-    last_sched_.assign(n_, 0);
-    sim_ = fresh();
-    dfs(kNoProc, cfg_.preemptions, cfg_.max_crashes, {});
-  }
-
-  void run_from(const Node& node) {
+  /// Explores the subtree rooted at frontier node `node` — the root, a
+  /// campaign file's node or a parallel pre-pass node. A node's last
+  /// directive is not applied yet: the parent state is restored from
+  /// `parent` when given and otherwise replayed from the root, and the
+  /// directive applies here, inside the violation catch, so a violating
+  /// step is recorded (and claimed) at this node's frontier index. `sleep`
+  /// is the sleep set the node enters with.
+  void run_from(const trace::CampaignNode& node,
+                const SimSnapshot* parent = nullptr, SleepSet sleep = {}) {
     dirs_ = node.dirs;
-    baseline_depth_ = kNoBaseline;
-    skips_since_check_ = kLiveKeyStride;
     last_sched_.assign(n_, 0);
     for (std::size_t k = 0; k < dirs_.size(); ++k)
       last_sched_[dirs_[k].proc] = k + 1;
-    if (cfg_.checkpoint && node.snap != nullptr) {
-      sim_ = std::make_unique<Simulator>(n_, sim_cfg_);
-      sim_->count_events_into(&result_.steps);
-      sim_->restore(*node.snap, build_);
-      result_.restores++;
-    } else {
-      // A campaign frontier node's last directive is an *unapplied* child
-      // step: replaying it may legitimately raise the violation the
-      // uninterrupted run would have found at that branch, so the replay
-      // records it instead of letting the exception escape. (Parallel-mode
-      // prefixes were pre-validated by the frontier builder; for them this
-      // also converts a diverged replay into a loud violation.)
-      try {
-        sim_ = rebuild();
-      } catch (const CheckFailure& e) {
-        record_violation(e.what());
-        return;
+    sim_ = std::make_unique<Simulator>(n_, sim_cfg_);
+    sim_->count_events_into(&result_.steps);
+    try {
+      if (parent != nullptr) {
+        sim_->restore(*parent, build_);
+        result_.restores++;
+      } else {
+        build_(*sim_);
+        for (std::size_t k = 0; k + 1 < dirs_.size(); ++k) {
+          const bool ok = sim_->apply(dirs_[k]);
+          TPA_CHECK(ok, "explorer replay diverged at p" << dirs_[k].proc);
+        }
       }
+      if (!dirs_.empty()) {
+        const bool ok = sim_->apply(dirs_.back());
+        TPA_CHECK(ok, "candidate p" << dirs_.back().proc << " could not act");
+      }
+    } catch (const CheckFailure& e) {
+      record_violation(e.what());
+      return;
     }
-    if (liveness_) seed_onstack();
-    dfs(node.current, node.preemptions, node.crashes_left, node.sleep);
+    if (liveness_ && !dirs_.empty()) seed_onstack();
+    dfs(node.current, node.preemptions, node.crashes_left, std::move(sleep));
   }
 
   ExplorerResult take_result() { return std::move(result_); }
 
  private:
-  std::unique_ptr<Simulator> fresh() {
-    auto sim = std::make_unique<Simulator>(n_, sim_cfg_);
-    sim->count_events_into(&result_.steps);
-    build_(*sim);
-    return sim;
-  }
-
-  /// Rebuilds the simulator state for the current `dirs_` prefix by replay.
-  std::unique_ptr<Simulator> rebuild() {
-    auto sim = fresh();
-    for (const Directive& d : dirs_) {
-      const bool ok = apply(*sim, d);
-      TPA_CHECK(ok, "explorer replay diverged at p" << d.proc);
-    }
-    return sim;
-  }
-
-  /// Puts the simulator back at a branch point for its next sibling: in
-  /// place from the branch point's checkpoint — no events re-executed, no
-  /// allocation — or, with checkpointing off, by replaying `dirs_`.
-  void rewind(const SimSnapshot* snap) {
-    if (snap != nullptr) {
-      sim_->restore(*snap, build_);
-      result_.restores++;
-    } else {
-      sim_ = rebuild();
-    }
-  }
-
   /// The visited-set key: the (incrementally maintained) state fingerprint
   /// with `current` folded in, canonicalized by sorting renaming-invariant
   /// per-process signatures when symmetry reduction is on — near-linear in
@@ -414,21 +423,14 @@ class Dfs {
                       : sim.fingerprint_progress(current);
   }
 
-  /// Re-anchors the dirty-delta baseline after the simulator was rewound
+  /// Re-anchors the dirty-delta baseline after the simulator was restored
   /// for a sibling: an in-place snapshot restore ends in a full fingerprint
-  /// rebuild at this node's state, so the baseline is exactly here; a
-  /// from-the-root rebuild() replays without flushing, leaving the flushed
-  /// state at the initial machine — nowhere on this path, so the baseline
-  /// is invalid until the next keyed node re-establishes one.
-  void reanchor_baseline(bool restored, std::size_t depth, ProcId current,
+  /// rebuild at this node's state, so the baseline is exactly here.
+  void reanchor_baseline(std::size_t depth, ProcId current,
                          std::size_t n_vars) {
-    if (restored) {
-      baseline_depth_ = depth;
-      baseline_current_ = current;
-      baseline_nvars_ = n_vars;
-    } else {
-      baseline_depth_ = kNoBaseline;
-    }
+    baseline_depth_ = depth;
+    baseline_current_ = current;
+    baseline_nvars_ = n_vars;
   }
 
   /// Rebuilds the on-stack index for a frontier node's directive prefix:
@@ -447,7 +449,7 @@ class Dfs {
     for (std::size_t depth = 0; depth < dirs_.size(); ++depth) {
       onstack_.push(progress_key(*sim, current), depth);
       const Directive& d = dirs_[depth];
-      const bool ok = apply(*sim, d);
+      const bool ok = sim->apply(d);
       TPA_CHECK(ok, "liveness: on-stack seeding diverged at p" << d.proc);
       if (d.kind != ActionKind::kCrash) current = d.proc;
     }
@@ -470,7 +472,7 @@ class Dfs {
     std::vector<char> enabled(n_, 0), scheduled(n_, 0), changed(n_, 0);
     for (std::size_t q = 0; q < n_; ++q) {
       status0[q] = sim.proc(static_cast<ProcId>(q)).status();
-      enabled[q] = can_act(sim, static_cast<ProcId>(q)) ? 1 : 0;
+      enabled[q] = sim.can_act(static_cast<ProcId>(q)) ? 1 : 0;
     }
     bool closed = true;
     ProcId cur = current;
@@ -478,7 +480,7 @@ class Dfs {
       const Directive& d = dirs_[k];
       bool ok = false;
       try {
-        ok = apply(sim, d);
+        ok = sim.apply(d);
       } catch (const CheckFailure&) {
         ok = false;  // a safety raise here means this is no cycle
       }
@@ -568,28 +570,23 @@ class Dfs {
   /// (innermost first — DFS completion order), then the outer frontier.
   void write_checkpoint(bool include_current, ProcId current, int preemptions,
                         int crashes_left) {
-    trace::Campaign c = camp_->base;
-    c.frontier.clear();
-    c.complete = false;
-    c.exhausted = true;
-    c.verdict = {};
-    const ExplorerResult& d = camp_->done;
-    c.schedules += d.schedules + result_.schedules;
-    c.steps += d.steps + result_.steps;
-    c.truncated += d.truncated + result_.truncated;
-    c.snapshots += d.snapshots + result_.snapshots;
-    c.restores += d.restores + result_.restores;
-    c.dedup_hits += d.dedup_hits + result_.dedup_hits;
-    c.dedup_states += d.dedup_states + result_.dedup_states;
+    ExplorerResult sofar = result_of(camp_->base);
+    sofar.merge(camp_->done);
+    sofar.merge(result_);
     if (shared_->visited != nullptr)
-      c.dedup_evictions += shared_->visited->evictions();
+      sofar.dedup_evictions += shared_->visited->evictions();
+    trace::Campaign c = camp_->base;
+    store_result(c, sofar);
+    c.exhausted = true;  // only the terminal record carries an outcome
+    c.verdict = {};
     if (include_current)
       c.frontier.push_back(
           trace::CampaignNode{current, preemptions, crashes_left, dirs_});
     for (std::size_t l = open_levels_; l-- > 0;) {
       const Level& lvl = levels_[l];
-      for (std::size_t k = lvl.next; k < lvl.children.size(); ++k) {
-        const PendingChild& ch = lvl.children[k];
+      const std::vector<Child>& kids = kids_[lvl.prefix_len].list;
+      for (std::size_t k = lvl.next; k < kids.size(); ++k) {
+        const Child& ch = kids[k];
         trace::CampaignNode node{
             ch.current, ch.preemptions, ch.crashes_left,
             {dirs_.begin(),
@@ -711,9 +708,9 @@ class Dfs {
     // so this reference survives the deeper levels' emplace_backs, and the
     // recycled vectors keep their capacity from earlier visits.
     const std::size_t node_depth = dirs_.size();
-    while (opts_.size() <= node_depth) opts_.emplace_back();
-    Options& opt = opts_[node_depth];
-    enumerate_options(*sim_, n_, current, preemptions, crashes_left, opt);
+    while (kids_.size() <= node_depth) kids_.emplace_back();
+    Children& kids = kids_[node_depth];
+    enumerate_children(*sim_, n_, current, preemptions, crashes_left, kids);
 
     // Liveness: if this node's progress key is already on the DFS stack,
     // the suffix dirs_[depth..] is a candidate fair cycle — verify it by
@@ -775,8 +772,7 @@ class Dfs {
     bool pkey_pushed = false;
     const std::size_t node_nvars = sim_->n_vars();
     const bool dedup_here =
-        dedup_ && (opt.options.size() + opt.crash_cand.size() > 1 ||
-                   node_depth % kChainStride == 0);
+        dedup_ && (kids.list.size() > 1 || node_depth % kChainStride == 0);
     if (liveness_) {
       std::size_t anc = OnStackMap::kNotOnStack;
       bool have_pkey = false;
@@ -812,7 +808,7 @@ class Dfs {
           // Cheap weak-fairness pre-filter before the expensive snapshot +
           // re-application: can_act() reads only fields the progress blob
           // captures, so the enabled set at the cycle's entry equals the
-          // enabled set at its closing end — opt.cand, already enumerated.
+          // enabled set at its closing end — kids.cand, already enumerated.
           // A closure that never schedules some enabled process (the
           // ubiquitous spin-loop revisit) is unfair and rejected from the
           // directive suffix alone; without this filter verification
@@ -823,9 +819,9 @@ class Dfs {
           // depth+1, 0 = never), maintained O(1) per step with an undo on
           // backtrack, so the filter costs O(|cand|) however wide the
           // candidate window has grown.
-          bool maybe_fair = node_depth - anc >= opt.cand.size();
-          for (std::size_t c = 0; maybe_fair && c < opt.cand.size(); ++c)
-            maybe_fair = last_sched_[opt.cand[c]] > anc;
+          bool maybe_fair = node_depth - anc >= kids.cand.size();
+          for (std::size_t c = 0; maybe_fair && c < kids.cand.size(); ++c)
+            maybe_fair = last_sched_[kids.cand[c]] > anc;
           if (maybe_fair) {
             if (!have_pkey) {
               pkey = progress_key(*sim_, current);
@@ -882,7 +878,7 @@ class Dfs {
       }
     }
 
-    if (opt.cand.empty()) {
+    if (kids.cand.empty()) {
       // Liveness: no candidate can act, yet some process has neither run to
       // completion nor crashed away — a deadlock, not a complete schedule.
       // (A crashed process with a recovery section would still be a
@@ -915,84 +911,55 @@ class Dfs {
       return true;
     }
 
-    // Signatures are taken at the node's state, before any child moves the
-    // simulator on; sleeping processes have not stepped since their entry
-    // was recorded, so their stored signatures stay valid.
     std::vector<ActionSig> sigs;
-    if (cfg_.sleep_sets) {
-      sigs.reserve(opt.options.size());
-      for (ProcId p : opt.options) sigs.push_back(action_sig(*sim_, p));
-    }
+    if (cfg_.sleep_sets) child_signatures(*sim_, kids, sigs);
 
     // Branch point: checkpoint once, then every sibling after the first
     // restores from here instead of replaying `dirs_` from the root.
     PooledSnapshot snap;
-    if (cfg_.checkpoint && opt.options.size() + opt.crash_cand.size() > 1)
-      snap = take_snapshot(*sim_);
+    if (kids.list.size() > 1) snap = take_snapshot(*sim_);
 
-    // Campaign mode: materialize this branch point's children now, while
-    // the parent state is intact — directives and budgets exactly as the
-    // loops below will compute them — so a checkpoint taken anywhere in the
-    // subtree can serialize the still-pending siblings. Entries past
-    // open_levels_ are kept for reuse, children capacity included.
+    // Campaign mode: open this branch point's level, so a checkpoint taken
+    // anywhere in the subtree can serialize the still-pending children
+    // from kids_. Entries past open_levels_ are kept for reuse.
     if (camp_ != nullptr) {
       if (open_levels_ == levels_.size()) levels_.emplace_back();
-      Level& lvl = levels_[open_levels_++];
-      lvl.prefix_len = dirs_.size();
-      lvl.next = 0;
-      lvl.children.clear();
-      for (const ProcId p : opt.options) {
-        const int cost = (opt.current_runnable && p != current) ? 1 : 0;
-        lvl.children.push_back(
-            PendingChild{make_directive(*sim_, p), p, preemptions - cost,
-                         crashes_left});
-      }
-      for (const ProcId p : opt.crash_cand)
-        lvl.children.push_back(PendingChild{
-            Directive{ActionKind::kCrash, p}, current, preemptions,
-            crashes_left - 1});
+      levels_[open_levels_++] = Level{node_depth, 0};
     }
 
     // Set once a child has run: the simulator then sits wherever that
     // child's subtree left it, and the next sibling must rewind it first.
     bool moved_on = false;
-    for (std::size_t i = 0; i < opt.options.size(); ++i) {
+    for (std::size_t i = 0; i < kids.list.size(); ++i) {
       if (stop()) {
         maybe_suspend(/*include_current=*/false, current, preemptions,
                       crashes_left);
         return false;
       }
       if (camp_ != nullptr) levels_[open_levels_ - 1].next = i + 1;
-      const ProcId p = opt.options[i];
-      if (cfg_.sleep_sets &&
-          std::any_of(sleep.begin(), sleep.end(),
-                      [p](const SleepEntry& e) { return e.proc == p; })) {
-        continue;  // equivalent to an explored schedule where p moves later
-      }
+      const Child& ch = kids.list[i];
       SleepSet child_sleep;
-      if (cfg_.sleep_sets)
-        for (const SleepEntry& e : sleep)
-          if (independent(e.sig, sigs[i])) child_sleep.push_back(e);
+      if (cfg_.sleep_sets && !wake(sleep, ch, sigs, i, child_sleep)) continue;
       if (moved_on) {
-        rewind(snap.get());
-        if (liveness_) reanchor_baseline(snap != nullptr, node_depth, current,
-                                         node_nvars);
+        // In place from the branch point's snapshot: no events
+        // re-executed, no allocation.
+        sim_->restore(*snap, build_);
+        result_.restores++;
+        if (liveness_) reanchor_baseline(node_depth, current, node_nvars);
       }
-      const Directive d = make_directive(*sim_, p);
+      dirs_.push_back(ch.d);
       try {
-        const bool ok = apply(*sim_, d);
-        TPA_CHECK(ok, "candidate p" << p << " could not act");
+        const bool ok = sim_->apply(ch.d);
+        TPA_CHECK(ok, "candidate p" << ch.d.proc << " could not act");
       } catch (const CheckFailure& e) {
-        dirs_.push_back(d);
         record_violation(e.what());
         return false;
       }
-      dirs_.push_back(d);
+      const ProcId p = ch.d.proc;
       const std::size_t prev_sched = last_sched_[p];
       last_sched_[p] = dirs_.size();
-      const int cost = (opt.current_runnable && p != current) ? 1 : 0;
-      const bool child_complete =
-          dfs(p, preemptions - cost, crashes_left, std::move(child_sleep));
+      const bool child_complete = dfs(ch.current, ch.preemptions,
+                                      ch.crashes_left, std::move(child_sleep));
       dirs_.pop_back();
       last_sched_[p] = prev_sched;
       moved_on = true;
@@ -1000,46 +967,8 @@ class Dfs {
       // budget, deadline, beaten) ended it mid-subtree: this subtree is not
       // fully explored either, so it must never enter the visited set.
       if (!child_complete) return false;
-      if (cfg_.sleep_sets) sleep.push_back({p, sigs[i]});
-    }
-
-    // Crash branches, after all scheduling branches. A crash is an
-    // adversary move, not a context switch: it costs no preemption and
-    // leaves `current` in place. It is dependent with everything (memory
-    // and buffers change wholesale), so crash children start with an empty
-    // sleep set and are never themselves sleep-pruned.
-    for (std::size_t j = 0; j < opt.crash_cand.size(); ++j) {
-      const ProcId p = opt.crash_cand[j];
-      if (stop()) {
-        maybe_suspend(/*include_current=*/false, current, preemptions,
-                      crashes_left);
-        return false;
-      }
-      if (camp_ != nullptr)
-        levels_[open_levels_ - 1].next = opt.options.size() + j + 1;
-      if (moved_on) {
-        rewind(snap.get());
-        if (liveness_) reanchor_baseline(snap != nullptr, node_depth, current,
-                                         node_nvars);
-      }
-      const Directive d{ActionKind::kCrash, p};
-      try {
-        const bool ok = apply(*sim_, d);
-        TPA_CHECK(ok, "crash candidate p" << p << " could not crash");
-      } catch (const CheckFailure& e) {
-        dirs_.push_back(d);
-        record_violation(e.what());
-        return false;
-      }
-      dirs_.push_back(d);
-      const std::size_t prev_sched = last_sched_[p];
-      last_sched_[p] = dirs_.size();
-      const bool child_complete =
-          dfs(current, preemptions, crashes_left - 1, {});
-      dirs_.pop_back();
-      last_sched_[p] = prev_sched;
-      moved_on = true;
-      if (!child_complete) return false;
+      if (cfg_.sleep_sets && ch.d.kind != ActionKind::kCrash)
+        sleep.push_back({p, sigs[i]});
     }
 
     if (camp_ != nullptr) --open_levels_;
@@ -1071,8 +1000,8 @@ class Dfs {
   std::unique_ptr<Simulator> sim_;
   /// Recycled branch-point snapshots (see take_snapshot).
   std::vector<std::unique_ptr<SimSnapshot>> snap_pool_;
-  /// opts_[d]: the option lists of the node at depth d on the current path.
-  std::deque<Options> opts_;
+  /// kids_[d]: the children of the node at depth d on the current path.
+  std::deque<Children> kids_;
   std::vector<Directive> dirs_;
   ExplorerResult result_;
   /// Campaign mode: levels_[0, open_levels_) are the open branch points of
@@ -1086,7 +1015,7 @@ class Dfs {
   /// variable count. Together with the dirty-delta check these prove a
   /// node revisits the baseline ancestor's progress state without
   /// flushing or finalizing a key (see the liveness classes in dfs()).
-  /// kNoBaseline marks "not on this path" (fresh root, replayed rebuild).
+  /// kNoBaseline marks "not on this path" (a fresh or resumed node).
   static constexpr std::size_t kNoBaseline = ~std::size_t{0};
   std::size_t baseline_depth_ = kNoBaseline;
   ProcId baseline_current_ = kNoProc;
@@ -1103,278 +1032,129 @@ class Dfs {
   std::vector<std::size_t> last_sched_;
 };
 
-/// Explores a campaign's frontier nodes in DFS order, each in a fresh Dfs.
-/// The first violation wins (matching first-in-DFS-order semantics) and a
-/// tripped schedule or wall-clock budget abandons the remaining nodes, so
-/// the aggregate is exactly what an uninterrupted sequential run reports.
-ExplorerResult run_campaign_nodes(std::size_t n_procs, const SimConfig& eff,
-                                  const ScenarioBuilder& build,
-                                  const ExplorerConfig& config, Shared* shared,
-                                  CampaignRecorder* camp,
-                                  const std::vector<trace::CampaignNode>& nodes) {
+/// The sequential exploration: drains frontier nodes in DFS order, each in
+/// a fresh Dfs — {root} for a fresh run, the file's frontier for a resume.
+/// The first violation wins (first-in-DFS-order) and a tripped schedule or
+/// wall-clock budget abandons the remaining nodes, so the aggregate is
+/// exactly what one uninterrupted DFS reports.
+ExplorerResult drain(std::size_t n_procs, const SimConfig& eff,
+                     const ScenarioBuilder& build, const ExplorerConfig& config,
+                     Shared* shared, CampaignRecorder* camp,
+                     const std::vector<trace::CampaignNode>& nodes) {
   ExplorerResult total;
-  camp->outer = &nodes;
+  if (camp != nullptr) camp->outer = &nodes;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
-    camp->outer_next = i + 1;
+    if (camp != nullptr) camp->outer_next = i + 1;
     Dfs dfs(n_procs, eff, build, config, shared, 0, camp);
-    dfs.run_from(Node{nodes[i].dirs, nodes[i].current, nodes[i].preemptions,
-                      nodes[i].crashes_left, {}, nullptr});
-    ExplorerResult sub = dfs.take_result();
-    total.schedules += sub.schedules;
-    total.steps += sub.steps;
-    total.truncated += sub.truncated;
-    total.snapshots += sub.snapshots;
-    total.restores += sub.restores;
-    total.dedup_hits += sub.dedup_hits;
-    total.dedup_states += sub.dedup_states;
-    camp->done = total;
-    if (sub.verdict.found()) {
-      total.verdict = std::move(sub.verdict);
-      break;
-    }
-    if (!sub.exhausted) {
-      total.exhausted = false;
-      break;
-    }
+    dfs.run_from(nodes[i]);
+    total.merge(dfs.take_result());
+    if (camp != nullptr) camp->done = total;
+    if (total.verdict.found() || !total.exhausted) break;
   }
   return total;
 }
 
-// ---- frontier partitioning for the parallel mode -------------------------
+// ---- the parallel mode ---------------------------------------------------
 
-/// Expands the root into a frontier of subtree prefixes, kept in DFS order
-/// (each expansion replaces a node, in place, by its ordered children), so
-/// the frontier index is a DFS-order key. Leaves reached during expansion —
-/// complete or truncated schedules — are handled inline with exactly the
-/// DFS' accounting; a violation or exhausted budget ends the whole
-/// exploration here, with an empty frontier.
-class FrontierBuilder {
- public:
-  FrontierBuilder(std::size_t n_procs, const SimConfig& sim_config,
-                  const ScenarioBuilder& build, const ExplorerConfig& config,
-                  Shared* shared)
-      : n_(n_procs),
-        sim_cfg_(sim_config),
-        build_(build),
-        cfg_(config),
-        shared_(shared) {}
-
-  std::vector<Node> build(std::size_t target) {
-    std::list<Node> nodes;
-    nodes.push_back(
-        Node{{}, kNoProc, cfg_.preemptions, cfg_.max_crashes, {}, nullptr});
-    // Each expansion costs O(branching × depth) replay steps (O(branching)
-    // restores in checkpoint mode); the cap only guards against degenerate
-    // chains (branching 1) eating the pre-pass.
-    std::size_t expansions = 0;
-    const std::size_t max_expansions = target * 64 + 256;
-    while (!done_ && !nodes.empty() && nodes.size() < target &&
-           expansions < max_expansions) {
-      auto best = nodes.begin();
-      for (auto it = std::next(nodes.begin()); it != nodes.end(); ++it)
-        if (it->dirs.size() < best->dirs.size()) best = it;
-      expand(nodes, best);
-      ++expansions;
-    }
-    if (done_) return {};
-    return {std::make_move_iterator(nodes.begin()),
-            std::make_move_iterator(nodes.end())};
-  }
-
-  ExplorerResult take_result() { return std::move(result_); }
-
- private:
-  std::unique_ptr<Simulator> fresh() {
-    auto sim = std::make_unique<Simulator>(n_, sim_cfg_);
-    sim->count_events_into(&result_.steps);
-    build_(*sim);
-    return sim;
-  }
-
-  std::unique_ptr<Simulator> rebuild(const std::vector<Directive>& dirs) {
-    auto sim = fresh();
-    for (const Directive& d : dirs) {
-      const bool ok = apply(*sim, d);
-      TPA_CHECK(ok, "frontier replay diverged at p" << d.proc);
-    }
-    return sim;
-  }
-
-  std::unique_ptr<Simulator> revive(const SimSnapshot& snap) {
-    auto sim = std::make_unique<Simulator>(n_, sim_cfg_);
-    sim->count_events_into(&result_.steps);
-    sim->restore(snap, build_);
-    result_.restores++;
-    return sim;
-  }
-
-  void violation(std::vector<Directive> witness, const char* what) {
-    result_.verdict.kind = VerdictKind::kSafety;
-    result_.verdict.message = what;
-    result_.verdict.witness = std::move(witness);
-    done_ = true;
-  }
-
-  void expand(std::list<Node>& nodes, std::list<Node>::iterator it) {
-    Node node = std::move(*it);
-    const auto pos = nodes.erase(it);
-    if (shared_->over_budget() || shared_->past_deadline()) {
-      result_.exhausted = false;
-      done_ = true;
-      return;
-    }
-    if (node.dirs.size() >= cfg_.max_steps) {
-      result_.truncated++;
-      shared_->charge();
-      return;
-    }
-    const bool use_snap = cfg_.checkpoint;
-    auto sim = (use_snap && node.snap != nullptr) ? revive(*node.snap)
-                                                  : rebuild(node.dirs);
-    Options opt;
-    enumerate_options(*sim, n_, node.current, node.preemptions,
-                      node.crashes_left, opt);
-    if (opt.cand.empty()) {
-      result_.schedules++;
-      shared_->charge();
-      if (cfg_.on_complete) {
-        try {
-          cfg_.on_complete(*sim);
-        } catch (const CheckFailure& e) {
-          violation(node.dirs, e.what());
-        }
-      }
-      return;
-    }
-
-    std::vector<ActionSig> sigs;
-    if (cfg_.sleep_sets) {
-      sigs.reserve(opt.options.size());
-      for (ProcId p : opt.options) sigs.push_back(action_sig(*sim, p));
-    }
-
-    // The parent state every child probe starts from.
-    std::shared_ptr<const SimSnapshot> parent_snap = node.snap;
-    if (use_snap && parent_snap == nullptr) {
-      parent_snap = std::make_shared<const SimSnapshot>(sim->snapshot());
-      result_.snapshots++;
-    }
-
-    SleepSet running = node.sleep;
-    for (std::size_t i = 0; i < opt.options.size(); ++i) {
-      const ProcId p = opt.options[i];
-      if (cfg_.sleep_sets &&
-          std::any_of(running.begin(), running.end(),
-                      [p](const SleepEntry& e) { return e.proc == p; }))
-        continue;
-      Node child;
-      child.dirs = node.dirs;
-      child.current = p;
-      const int cost = (opt.current_runnable && p != node.current) ? 1 : 0;
-      child.preemptions = node.preemptions - cost;
-      child.crashes_left = node.crashes_left;
-      if (cfg_.sleep_sets) {
-        for (const SleepEntry& e : running)
-          if (independent(e.sig, sigs[i])) child.sleep.push_back(e);
-        running.push_back({p, sigs[i]});
-      }
-      // Validate the child's first step now so workers can never hit a
-      // violation while reinstating a frontier prefix.
-      auto probe =
-          use_snap ? revive(*parent_snap) : rebuild(node.dirs);
-      const Directive d = make_directive(*probe, p);
-      try {
-        const bool ok = apply(*probe, d);
-        TPA_CHECK(ok, "candidate p" << p << " could not act");
-      } catch (const CheckFailure& e) {
-        child.dirs.push_back(d);
-        violation(std::move(child.dirs), e.what());
-        return;
-      }
-      child.dirs.push_back(d);
-      if (use_snap) {
-        child.snap = std::make_shared<const SimSnapshot>(probe->snapshot());
-        result_.snapshots++;
-      }
-      nodes.insert(pos, std::move(child));
-    }
-
-    // Crash children, mirroring Dfs::dfs: after all scheduling children,
-    // no preemption cost, `current` unchanged, empty sleep set.
-    for (const ProcId p : opt.crash_cand) {
-      Node child;
-      child.dirs = node.dirs;
-      child.current = node.current;
-      child.preemptions = node.preemptions;
-      child.crashes_left = node.crashes_left - 1;
-      auto probe = use_snap ? revive(*parent_snap) : rebuild(node.dirs);
-      const Directive d{ActionKind::kCrash, p};
-      try {
-        const bool ok = apply(*probe, d);
-        TPA_CHECK(ok, "crash candidate p" << p << " could not crash");
-      } catch (const CheckFailure& e) {
-        child.dirs.push_back(d);
-        violation(std::move(child.dirs), e.what());
-        return;
-      }
-      child.dirs.push_back(d);
-      if (use_snap) {
-        child.snap = std::make_shared<const SimSnapshot>(probe->snapshot());
-        result_.snapshots++;
-      }
-      nodes.insert(pos, std::move(child));
-    }
-  }
-
-  std::size_t n_;
-  SimConfig sim_cfg_;
-  const ScenarioBuilder& build_;
-  const ExplorerConfig& cfg_;
-  Shared* shared_;
-  bool done_ = false;
-  ExplorerResult result_;
+/// A parallel-mode frontier node: the subtree root, plus what a campaign
+/// file cannot hold — the parent state's in-memory snapshot, shared by the
+/// siblings, and the sleep set the node enters with.
+struct Seed {
+  trace::CampaignNode node;
+  std::shared_ptr<const SimSnapshot> parent;
+  SleepSet sleep;
+  bool whole = false;  ///< not expandable: left for a worker as it is
 };
 
-ExplorerResult explore_parallel(std::size_t n_procs, SimConfig sim_config,
+/// Splits the schedule tree into about `target` subtree roots in DFS order,
+/// repeatedly replacing the shallowest expandable node, in place, by its
+/// ordered children — so the frontier index is a DFS-order key. Expanding
+/// a node materializes its state (its parent's snapshot plus its own last
+/// directive) and enumerates its children from it; nothing else runs here.
+/// Leaves, nodes at the step cap and nodes whose own step raises are left
+/// whole, so a worker explores and accounts for them exactly as the
+/// sequential DFS would — a violation is claimed at its node's frontier
+/// index, never reported out of DFS order. Restores, snapshots and the
+/// expanded nodes' steps are charged to `stats`.
+std::vector<Seed> split_frontier(std::size_t n_procs, const SimConfig& eff,
+                                 const ScenarioBuilder& build,
+                                 const ExplorerConfig& cfg, std::size_t target,
+                                 ExplorerResult& stats) {
+  std::list<Seed> nodes;
+  nodes.push_back(
+      Seed{{kNoProc, cfg.preemptions, cfg.max_crashes, {}}, nullptr, {}});
+  Simulator sim(n_procs, eff);
+  std::uint64_t events = 0;
+  sim.count_events_into(&events);
+  Children kids;
+  std::vector<ActionSig> sigs;
+  // Each expansion costs one restore, one step and one snapshot; the cap
+  // only guards against degenerate chains (branching 1) eating the pre-pass.
+  const std::size_t max_expansions = target * 64 + 256;
+  for (std::size_t e = 0; nodes.size() < target && e < max_expansions; ++e) {
+    auto it = nodes.end();
+    for (auto j = nodes.begin(); j != nodes.end(); ++j)
+      if (!j->whole && (it == nodes.end() ||
+                        j->node.dirs.size() < it->node.dirs.size()))
+        it = j;
+    if (it == nodes.end()) break;
+    it->whole = true;  // unless replaced by its children below
+    const trace::CampaignNode& node = it->node;
+    if (node.dirs.size() >= cfg.max_steps) continue;
+    events = 0;
+    try {
+      if (it->parent == nullptr) {
+        build(sim);  // the root, expanded first: the initial state
+      } else {
+        sim.restore(*it->parent, build);
+        stats.restores++;
+        if (!sim.apply(node.dirs.back())) continue;
+      }
+    } catch (const CheckFailure&) {
+      continue;
+    }
+    enumerate_children(sim, n_procs, node.current, node.preemptions,
+                       node.crashes_left, kids);
+    if (kids.cand.empty()) continue;
+    stats.steps += events;
+    const auto snap = std::make_shared<const SimSnapshot>(sim.snapshot());
+    stats.snapshots++;
+    if (cfg.sleep_sets) child_signatures(sim, kids, sigs);
+    SleepSet sleep = it->sleep;
+    for (std::size_t i = 0; i < kids.list.size(); ++i) {
+      const Child& ch = kids.list[i];
+      SleepSet child_sleep;
+      if (cfg.sleep_sets && !wake(sleep, ch, sigs, i, child_sleep)) continue;
+      Seed child{{ch.current, ch.preemptions, ch.crashes_left, node.dirs},
+                 snap, std::move(child_sleep)};
+      child.node.dirs.push_back(ch.d);
+      nodes.insert(it, std::move(child));
+      if (cfg.sleep_sets && ch.d.kind != ActionKind::kCrash)
+        sleep.push_back({ch.d.proc, sigs[i]});
+    }
+    nodes.erase(it);
+  }
+  return {std::make_move_iterator(nodes.begin()),
+          std::make_move_iterator(nodes.end())};
+}
+
+/// The parallel mode: the pre-pass' frontier drained by the work queue.
+ExplorerResult explore_parallel(std::size_t n_procs, const SimConfig& eff,
                                 const ScenarioBuilder& build,
                                 const ExplorerConfig& config, Shared* shared) {
-  FrontierBuilder fb(n_procs, sim_config, build, config, shared);
-  const auto target = static_cast<std::size_t>(config.threads) * 8;
-  std::vector<Node> frontier = fb.build(target);
-  ExplorerResult result = fb.take_result();
-  if (result.verdict.found() || frontier.empty()) return result;
-
+  ExplorerResult result;
+  const std::vector<Seed> frontier = split_frontier(
+      n_procs, eff, build, config,
+      static_cast<std::size_t>(config.threads) * 8, result);
   std::vector<ExplorerResult> sub(frontier.size());
-  parallel_for_index(
-      frontier.size(), config.threads, [&](std::size_t i) {
-        if (shared->beaten(i)) return;  // a smaller index already won
-        Dfs dfs(n_procs, sim_config, build, config, shared, i);
-        try {
-          dfs.run_from(frontier[i]);
-          sub[i] = dfs.take_result();
-        } catch (const CheckFailure& e) {
-          // A diverged prefix replay: the builder is schedule-dependent.
-          // Surface it loudly as a (deterministically claimed) violation.
-          sub[i].verdict.kind = VerdictKind::kSafety;
-          sub[i].verdict.message = e.what();
-          shared->claim(i);
-        }
-      });
-
-  auto winner = std::numeric_limits<std::size_t>::max();
-  for (std::size_t i = 0; i < sub.size(); ++i) {
-    result.schedules += sub[i].schedules;
-    result.truncated += sub[i].truncated;
-    result.steps += sub[i].steps;
-    result.snapshots += sub[i].snapshots;
-    result.restores += sub[i].restores;
-    result.dedup_hits += sub[i].dedup_hits;
-    result.dedup_states += sub[i].dedup_states;
-    if (!sub[i].exhausted) result.exhausted = false;
-    if (sub[i].verdict.found() && i < winner) winner = i;
-  }
-  if (winner != std::numeric_limits<std::size_t>::max())
-    result.verdict = std::move(sub[winner].verdict);
+  parallel_for_index(frontier.size(), config.threads, [&](std::size_t i) {
+    if (shared->beaten(i)) return;  // a smaller index already won
+    Dfs dfs(n_procs, eff, build, config, shared, i);
+    dfs.run_from(frontier[i].node, frontier[i].parent.get(),
+                 frontier[i].sleep);
+    sub[i] = dfs.take_result();
+  });
+  for (const ExplorerResult& r : sub) result.merge(r);
   if (shared->over.load(std::memory_order_relaxed)) result.exhausted = false;
   return result;
 }
@@ -1430,7 +1210,6 @@ trace::Campaign campaign_identity(std::size_t n_procs, const SimConfig& sim,
   c.liveness = cfg.liveness;
   c.dedup_max_bytes = cfg.dedup_max_bytes;
   c.shrink = cfg.shrink;
-  c.checkpoint = cfg.checkpoint;
   return c;
 }
 
@@ -1488,8 +1267,9 @@ ExplorerResult explore_impl(std::size_t n_procs, SimConfig sim_config,
   }
   const bool campaign = !config.campaign_path.empty();
   if (campaign) {
-    // The checkpoint partitions the *sequential* DFS; the parallel mode has
-    // its own frontier machinery and no single consistent recursion stack.
+    // The checkpoint serializes one DFS' open levels; parallel workers each
+    // hold their own, with no single consistent picture of the remaining
+    // work to write.
     TPA_CHECK(config.threads <= 1,
               "campaign: checkpointing serializes the sequential DFS "
               "frontier — run with threads == 1 (resume legs may still pick "
@@ -1515,6 +1295,12 @@ ExplorerResult explore_impl(std::size_t n_procs, SimConfig sim_config,
   if (config.dedup != DedupMode::kOff)
     shared.visited = std::make_unique<VisitedSet>(config.threads > 1,
                                                   config.dedup_max_bytes);
+  // Every exploration drains one frontier: {root} for a fresh run, the
+  // file's frontier for a resume, the pre-pass' output for threads > 1.
+  const std::vector<trace::CampaignNode> root{
+      {kNoProc, config.preemptions, config.max_crashes, {}}};
+  const std::vector<trace::CampaignNode>& nodes =
+      loaded != nullptr ? loaded->frontier : root;
   ExplorerResult result;
   CampaignRecorder camp;
   if (campaign) {
@@ -1525,35 +1311,22 @@ ExplorerResult explore_impl(std::size_t n_procs, SimConfig sim_config,
                     : campaign_identity(n_procs, sim_config, config);
     camp.base.frontier.clear();
     camp.next_write = std::chrono::steady_clock::now() + camp.interval;
-    std::vector<trace::CampaignNode> nodes;
-    if (loaded != nullptr) {
-      nodes = loaded->frontier;
-    } else {
+    // The baseline carried in from the resumed file (zero when fresh).
+    result = result_of(camp.base);
+    if (loaded == nullptr) {
       // Publish the root frontier before the first step: a kill at any
       // later point finds a resumable file (and resuming from the root is
       // simply the whole exploration).
-      nodes.push_back(trace::CampaignNode{kNoProc, config.preemptions,
-                                          config.max_crashes, {}});
       trace::Campaign init = camp.base;
-      init.frontier = nodes;
+      init.frontier = root;
       trace::write_campaign_file(camp.path, init);
     }
-    result =
-        run_campaign_nodes(n_procs, eff, build, config, &shared, &camp, nodes);
-    result.schedules += camp.base.schedules;
-    result.steps += camp.base.steps;
-    result.truncated += camp.base.truncated;
-    result.snapshots += camp.base.snapshots;
-    result.restores += camp.base.restores;
-    result.dedup_hits += camp.base.dedup_hits;
-    result.dedup_states += camp.base.dedup_states;
-  } else if (config.threads <= 1) {
-    Dfs dfs(n_procs, eff, build, config, &shared, 0);
-    dfs.run_root();
-    result = dfs.take_result();
-  } else {
-    result = explore_parallel(n_procs, eff, build, config, &shared);
   }
+  if (config.threads > 1)
+    result.merge(explore_parallel(n_procs, eff, build, config, &shared));
+  else
+    result.merge(drain(n_procs, eff, build, config, &shared,
+                       campaign ? &camp : nullptr, nodes));
 
   if (shared.deadline_tripped.load(std::memory_order_relaxed)) {
     result.deadline_hit = true;
@@ -1562,9 +1335,8 @@ ExplorerResult explore_impl(std::size_t n_procs, SimConfig sim_config,
   if (shared.visited != nullptr) {
     result.dedup_entries = shared.visited->entries();
     result.dedup_bytes = shared.visited->bytes();
-    result.dedup_evictions = shared.visited->evictions();
+    result.dedup_evictions += shared.visited->evictions();
   }
-  if (campaign) result.dedup_evictions += camp.base.dedup_evictions;
   Verdict& v = result.verdict;
   if (v.found() && config.shrink && !v.witness.empty()) {
     if (v.is_lasso()) {
@@ -1595,18 +1367,8 @@ ExplorerResult explore_impl(std::size_t n_procs, SimConfig sim_config,
     // trip standing, so the campaign stays resumable. Resuming a terminal
     // campaign returns this record without re-exploring.
     trace::Campaign fin = camp.base;
-    fin.frontier.clear();
-    fin.schedules = result.schedules;
-    fin.steps = result.steps;
-    fin.truncated = result.truncated;
-    fin.snapshots = result.snapshots;
-    fin.restores = result.restores;
-    fin.dedup_hits = result.dedup_hits;
-    fin.dedup_states = result.dedup_states;
-    fin.dedup_evictions = result.dedup_evictions;
+    store_result(fin, result);
     fin.complete = true;
-    fin.exhausted = result.exhausted;
-    fin.verdict = result.verdict;
     trace::write_campaign_file(config.campaign_path, fin);
   }
   return result;
@@ -1633,18 +1395,7 @@ ExplorerResult resume(const std::string& campaign_path, std::size_t n_procs,
             "resume: campaign crash model is " << to_string(c.crash_model));
   if (c.complete) {
     // Nothing left to explore: report the recorded terminal result.
-    ExplorerResult r;
-    r.schedules = c.schedules;
-    r.steps = c.steps;
-    r.truncated = c.truncated;
-    r.snapshots = c.snapshots;
-    r.restores = c.restores;
-    r.dedup_hits = c.dedup_hits;
-    r.dedup_states = c.dedup_states;
-    r.dedup_evictions = c.dedup_evictions;
-    r.exhausted = c.exhausted;
-    r.verdict = c.verdict;
-    return r;
+    return result_of(c);
   }
   // The explorer configuration comes from the file — only wall-clock knobs
   // (deliberately outside the config hash) come from the caller.
@@ -1657,7 +1408,6 @@ ExplorerResult resume(const std::string& campaign_path, std::size_t n_procs,
   cfg.threads = 1;
   cfg.sleep_sets = false;
   cfg.shrink = c.shrink;
-  cfg.checkpoint = c.checkpoint;
   cfg.dedup = c.dedup;
   cfg.symmetric_processes = c.symmetry;
   cfg.liveness = c.liveness;

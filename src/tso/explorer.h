@@ -117,9 +117,10 @@ struct ExplorerConfig {
   /// so on a violation-free scenario the aggregated `schedules`/`truncated`
   /// counts are identical to the sequential run's, for any thread count.
   /// Violations are reported first-in-DFS-order-wins: the earliest frontier
-  /// subtree containing one supplies the witness, independent of thread
-  /// timing, so results are reproducible (the *counts* of a violating or
-  /// budget-capped run may vary — later subtrees are abandoned early).
+  /// subtree containing one supplies the witness, so the raw witness is the
+  /// sequential run's whatever the thread count or timing (the *counts* of
+  /// a violating or budget-capped run may vary — later subtrees are
+  /// abandoned early).
   /// Builders must be safe to invoke concurrently on distinct simulators.
   int threads = 1;
 
@@ -140,14 +141,6 @@ struct ExplorerConfig {
   /// witness replays deterministically via tso::replay just like the raw
   /// one, only shorter.
   bool shrink = true;
-
-  /// Resume sibling subtrees from Simulator::snapshot() checkpoints taken at
-  /// branch points instead of replaying the directive prefix from the root.
-  /// Purely an execution strategy: schedule counts, DFS order and witnesses
-  /// are identical either way (tests/test_observer.cpp pins this), but the
-  /// machine events executed drop by the average branch depth — see
-  /// RunStats::steps and bench/perf_explorer.cpp.
-  bool checkpoint = true;
 
   /// Visited-state pruning (see DedupMode). Off by default: verdicts and
   /// witnesses are unchanged when on, but counts shrink. Rejected (via
@@ -237,6 +230,14 @@ struct ExplorerResult : RunStats {
   std::uint64_t dedup_entries = 0;    ///< live visited-set entries at the end
   std::uint64_t dedup_bytes = 0;      ///< visited-set footprint at the end
   std::uint64_t dedup_evictions = 0;  ///< entries the memory governor evicted
+
+  /// Folds in the result of work explored *after* this one in DFS order
+  /// (a later frontier subtree, or a later campaign leg): sums the
+  /// counters, ANDs `exhausted`, ORs `deadline_hit`, and keeps this
+  /// result's verdict if it already found one — the first-in-DFS-order
+  /// rule. `dedup_entries` and `dedup_bytes` are end-of-run gauges of the
+  /// one visited set and are left alone.
+  void merge(const ExplorerResult& later);
 
   /// RunStats fields plus the explorer-specific figures, as one JSON object.
   std::string to_json() const;

@@ -23,16 +23,6 @@ std::string FuzzResult::to_json() const {
 
 namespace {
 
-bool apply_directive(Simulator& sim, const Directive& d) {
-  switch (d.kind) {
-    case ActionKind::kDeliver: return sim.deliver(d.proc);
-    case ActionKind::kCommit: return sim.commit(d.proc, d.var);
-    case ActionKind::kCrash: return sim.crash(d.proc);
-    case ActionKind::kRecover: return sim.recover(d.proc);
-  }
-  return false;
-}
-
 // FNV-1a, folded over one directive at a time.
 void digest_directive(std::uint64_t* h, const Directive& d) {
   auto mix = [h](std::uint64_t byte) {
@@ -91,7 +81,7 @@ void continue_random(Simulator& sim, Rng& rng, double commit_prob,
                           crashable[rng.below(crashable.size())]};
         bool ok = false;
         try {
-          ok = apply_directive(sim, d);
+          ok = sim.apply(d);
         } catch (const CheckFailure& e) {
           out->schedule.push_back(d);
           out->violated = true;
@@ -120,7 +110,7 @@ void continue_random(Simulator& sim, Rng& rng, double commit_prob,
     }
     bool ok = false;
     try {
-      ok = apply_directive(sim, d);
+      ok = sim.apply(d);
     } catch (const CheckFailure& e) {
       out->schedule.push_back(d);
       out->violated = true;
@@ -150,7 +140,7 @@ LenientReplay replay_lenient(std::size_t n_procs, SimConfig sim_config,
   for (const Directive& d : directives) {
     bool ok = false;
     try {
-      ok = apply_directive(*r.sim, d);
+      ok = r.sim->apply(d);
     } catch (const CheckFailure& e) {
       r.applied.push_back(d);
       r.violated = true;
@@ -224,18 +214,6 @@ ShrinkOutcome shrink_witness(std::size_t n_procs, SimConfig sim_config,
   return out;
 }
 
-namespace {
-
-/// The explorer's enabledness predicate: a process that can take some
-/// machine step right now. Used by the weak-fairness filter.
-bool can_act(const Simulator& sim, ProcId p) {
-  const Proc& proc = sim.proc(p);
-  if (proc.crashed()) return sim.has_recovery(p);
-  return (!proc.done() && proc.has_pending()) || !proc.buffer().empty();
-}
-
-}  // namespace
-
 LassoReplay replay_lasso(std::size_t n_procs, SimConfig sim_config,
                          const ScenarioBuilder& build,
                          const std::vector<Directive>& stem,
@@ -257,12 +235,12 @@ LassoReplay replay_lasso(std::size_t n_procs, SimConfig sim_config,
   std::vector<char> enabled(n, 0), scheduled(n, 0), changed(n, 0);
   for (std::size_t q = 0; q < n; ++q) {
     status0[q] = sim.proc(static_cast<ProcId>(q)).status();
-    enabled[q] = can_act(sim, static_cast<ProcId>(q)) ? 1 : 0;
+    enabled[q] = sim.can_act(static_cast<ProcId>(q)) ? 1 : 0;
   }
   for (const Directive& d : cycle) {
     bool ok = false;
     try {
-      ok = apply_directive(sim, d);
+      ok = sim.apply(d);
     } catch (const CheckFailure&) {
       return r;  // a safety violation inside the cycle is not a lasso
     }
@@ -481,7 +459,7 @@ FuzzResult fuzz(std::size_t n_procs, SimConfig sim_config,
       for (const Directive& d : seed_schedule) {
         bool ok = false;
         try {
-          ok = apply_directive(*sim, d);
+          ok = sim->apply(d);
         } catch (const CheckFailure& e) {
           out.schedule.push_back(d);
           out.violated = true;

@@ -14,21 +14,7 @@ std::unique_ptr<Simulator> replay(std::size_t n_procs, SimConfig config,
   build(*sim);
   for (const auto& d : directives) {
     if (erased && (*erased)[static_cast<std::size_t>(d.proc)]) continue;
-    bool ok = false;
-    switch (d.kind) {
-      case ActionKind::kDeliver:
-        ok = sim->deliver(d.proc);
-        break;
-      case ActionKind::kCommit:
-        ok = sim->commit(d.proc, d.var);
-        break;
-      case ActionKind::kCrash:
-        ok = sim->crash(d.proc);
-        break;
-      case ActionKind::kRecover:
-        ok = sim->recover(d.proc);
-        break;
-    }
+    const bool ok = sim->apply(d);
     TPA_CHECK(ok, "replay directive could not be applied: proc=" << d.proc);
   }
   return sim;

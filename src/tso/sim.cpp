@@ -538,6 +538,23 @@ bool Simulator::deliver(ProcId pid) {
   TPA_FAIL("unreachable op kind");
 }
 
+bool Simulator::apply(const Directive& d) {
+  switch (d.kind) {
+    case ActionKind::kDeliver: return deliver(d.proc);
+    case ActionKind::kCommit: return commit(d.proc, d.var);
+    case ActionKind::kCrash: return crash(d.proc);
+    case ActionKind::kRecover: return recover(d.proc);
+  }
+  return false;
+}
+
+bool Simulator::can_act(ProcId pid) const {
+  const Proc& p = proc(pid);
+  // A crashed process' only possible step is recovering (if it can).
+  if (p.crashed_) return has_recovery(pid);
+  return (!p.done_ && p.has_pending_) || !p.buffer_.empty();
+}
+
 bool Simulator::commit(ProcId pid, VarId v) {
   Proc& p = proc(pid);
   if (p.buffer_.empty()) return false;

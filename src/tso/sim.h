@@ -256,6 +256,16 @@ class Simulator {
   /// Returns false if the buffer is empty (or v is not buffered).
   bool commit(ProcId p, VarId v = kNoVar);
 
+  /// Applies one scheduler directive — deliver, commit, crash or recover —
+  /// through the matching move above. Returns false if the directive's
+  /// process cannot act that way now.
+  bool apply(const Directive& d);
+
+  /// True if p can take some machine step right now: deliver its next
+  /// program event, commit a buffered write, or — when crashed — recover.
+  /// The enabled set the explorer schedules and weak fairness ranges over.
+  bool can_act(ProcId p) const;
+
   /// Classifies p's next event without executing it.
   PendingClass classify_pending(ProcId p) const;
 

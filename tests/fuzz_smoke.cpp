@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "runtime/harness.h"
@@ -157,6 +158,75 @@ TEST(FuzzSmoke, CrashBudgetExplorationRestoresInPlaceAcrossIncarnations) {
       EXPECT_EQ(seq.schedules, par.schedules) << what;
       EXPECT_EQ(seq.truncated, par.truncated) << what;
       EXPECT_EQ(seq.steps, par.steps) << what;
+    }
+  }
+}
+
+tso::Task<> read_n(tso::Proc& p, tso::VarId x, int n) {
+  for (int i = 0; i < n; ++i) co_await p.read(x);
+}
+
+tso::Task<> read_twice_then_fail(tso::Proc& p, tso::VarId x) {
+  co_await p.read(x);
+  co_await p.read(x);
+  TPA_FAIL("p1 read x twice");
+}
+
+// Parallel raw-witness parity: the frontier pre-pass leaves leaves and
+// nodes whose own step raises whole for the workers, and sibling workers
+// restore from one shared parent snapshot. At two threads the raw witness
+// must be the sequential one — on a scenario with a shallower violating
+// prefix than the first in DFS order, on the fence-free bakery, and across
+// crash/recover incarnations. Under the sanitize label this is the
+// ASan+UBSan pass over the shared snapshots and over pre-pass restores
+// after a raising step.
+TEST(FuzzSmoke, ParallelRawWitnessMatchesSequential) {
+  struct Case {
+    std::string name;
+    std::size_t n_procs;
+    tso::SimConfig sim;
+    tso::ScenarioBuilder build;
+    int preemptions;
+    int max_crashes;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"read-twice-then-fail", 2, {},
+                   [](tso::Simulator& sim) {
+                     const tso::VarId x = sim.alloc_var(0);
+                     sim.spawn(0, read_n(sim.proc(0), x, 3));
+                     sim.spawn(1, read_twice_then_fail(sim.proc(1), x));
+                   },
+                   1, 0});
+  for (const auto& [name, preemptions, max_crashes] :
+       {std::tuple{"bakery-none-2p", 2, 0},
+        std::tuple{"recoverable-nofence-2p", 1, 1}}) {
+    const auto* s = runtime::find_scenario(name);
+    ASSERT_NE(s, nullptr) << name;
+    cases.push_back(
+        {name, s->n_procs, s->sim, s->build, preemptions, max_crashes});
+  }
+  for (const Case& c : cases) {
+    tso::ExplorerConfig cfg;
+    cfg.preemptions = c.preemptions;
+    cfg.max_crashes = c.max_crashes;
+    cfg.shrink = false;
+    const tso::ExplorerResult seq =
+        tso::explore(c.n_procs, c.sim, c.build, cfg);
+    cfg.threads = 2;
+    const tso::ExplorerResult par =
+        tso::explore(c.n_procs, c.sim, c.build, cfg);
+    ASSERT_TRUE(seq.verdict.found()) << c.name;
+    ASSERT_TRUE(par.verdict.found()) << c.name;
+    EXPECT_EQ(par.verdict.message, seq.verdict.message) << c.name;
+    ASSERT_EQ(par.verdict.witness.size(), seq.verdict.witness.size())
+        << c.name;
+    for (std::size_t i = 0; i < seq.verdict.witness.size(); ++i) {
+      EXPECT_EQ(par.verdict.witness[i].kind, seq.verdict.witness[i].kind)
+          << c.name << " dir " << i;
+      EXPECT_EQ(par.verdict.witness[i].proc, seq.verdict.witness[i].proc)
+          << c.name << " dir " << i;
+      EXPECT_EQ(par.verdict.witness[i].var, seq.verdict.witness[i].var)
+          << c.name << " dir " << i;
     }
   }
 }

@@ -9,6 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -75,7 +78,6 @@ TEST(CampaignFormat, RoundTripsThroughTextFormat) {
   c.symmetry = tso::SymmetryMode::kOff;
   c.dedup_max_bytes = 1 << 20;
   c.shrink = false;
-  c.checkpoint = true;
   c.schedules = 7;
   c.steps = 8;
   c.truncated = 9;
@@ -168,7 +170,68 @@ TEST(CampaignFormat, ReaderRejectsTamperedConfigAndTruncation) {
                CheckFailure);
 }
 
+TEST(CampaignFormat, ReaderRejectsReplayModeFiles) {
+  // `checkpoint 0` recorded the explorer's removed replay mode; such a file
+  // is refused by name rather than resumed under a different strategy.
+  trace::Campaign c;
+  c.n_procs = 2;
+  c.frontier.push_back({tso::kNoProc, 2, 0, {}});
+  std::string text = trace::campaign_to_string(c);
+  const auto pos = text.find("checkpoint 1\n");
+  ASSERT_NE(pos, std::string::npos);
+  text.replace(pos, 12, "checkpoint 0");
+  try {
+    trace::campaign_from_string(text);
+    FAIL() << "a replay-mode campaign was accepted";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("replay mode was removed"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+/// A deadline-suspended campaign (bakery-tso-2p, one preemption, dedup off)
+/// written mid-run by an earlier build of the explorer and committed, so
+/// format or resume drift against files already on disk shows up here.
+std::string committed_campaign_path() {
+  return std::string(TPA_CORPUS_DIR) + "/bakery-tso-2p-p1.campaign";
+}
+
+std::string read_text(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::ostringstream os;
+  os << is.rdbuf();
+  return os.str();
+}
+
+TEST(CampaignFormat, CommittedMidRunFileRoundTripsByteIdentical) {
+  const std::string text = read_text(committed_campaign_path());
+  ASSERT_FALSE(text.empty());
+  const trace::Campaign c = trace::campaign_from_string(text);
+  EXPECT_FALSE(c.complete);
+  EXPECT_GT(c.frontier.size(), 1u);
+  EXPECT_EQ(trace::campaign_to_string(c), text);
+}
+
 // ---- campaign explore / resume ------------------------------------------
+
+TEST(Campaign, CommittedMidRunFileResumesToTheUninterruptedResult) {
+  const Scenario* s = find_scenario("bakery-tso-2p");
+  ASSERT_NE(s, nullptr);
+  ExplorerConfig cfg;
+  cfg.preemptions = 1;
+  const ExplorerResult plain = s->explore(cfg);
+  EXPECT_EQ(plain.schedules, 12u);
+  EXPECT_EQ(plain.truncated, 30u);
+
+  // resume() keeps checkpointing to the file it reads, so work on a copy.
+  CampaignFile file("committed");
+  std::filesystem::copy_file(committed_campaign_path(), file.path());
+  const ExplorerResult resumed = runtime::resume(file.path());
+  expect_same_outcome(plain, resumed, "resumed committed campaign");
+  EXPECT_FALSE(resumed.deadline_hit);
+  EXPECT_TRUE(trace::read_campaign_file(file.path()).complete);
+}
 
 TEST(Campaign, TerminalRecordMatchesPlainExploreAndResumeReturnsIt) {
   const Scenario* s = find_scenario("mcs-2p");
@@ -344,6 +407,68 @@ TEST(Campaign, RegistryResumeNeedsARecordedScenarioId) {
   const ExplorerResult r = tso::resume(file.path(), s->n_procs, s->sim,
                                        s->build);
   EXPECT_FALSE(r.verdict.found());
+}
+
+// ---- merging results ----------------------------------------------------
+
+ExplorerResult part(std::uint64_t base) {
+  ExplorerResult r;
+  r.schedules = base + 1;
+  r.steps = base + 2;
+  r.truncated = base + 3;
+  r.snapshots = base + 4;
+  r.restores = base + 5;
+  r.dedup_hits = base + 6;
+  r.dedup_states = base + 7;
+  r.dedup_evictions = base + 8;
+  r.dedup_entries = base + 9;
+  r.dedup_bytes = base + 10;
+  return r;
+}
+
+TEST(ExplorerMerge, SplitResultsFoldToTheWhole) {
+  ExplorerResult whole = part(0);
+  whole.merge(part(100));
+  EXPECT_EQ(whole.schedules, 1u + 101u);
+  EXPECT_EQ(whole.steps, 2u + 102u);
+  EXPECT_EQ(whole.truncated, 3u + 103u);
+  EXPECT_EQ(whole.snapshots, 4u + 104u);
+  EXPECT_EQ(whole.restores, 5u + 105u);
+  EXPECT_EQ(whole.dedup_hits, 6u + 106u);
+  EXPECT_EQ(whole.dedup_states, 7u + 107u);
+  EXPECT_EQ(whole.dedup_evictions, 8u + 108u);
+  // End-of-run gauges of the one visited set are not summed.
+  EXPECT_EQ(whole.dedup_entries, 9u);
+  EXPECT_EQ(whole.dedup_bytes, 10u);
+  EXPECT_TRUE(whole.exhausted);
+  EXPECT_FALSE(whole.deadline_hit);
+  EXPECT_FALSE(whole.verdict.found());
+}
+
+TEST(ExplorerMerge, FirstFoundVerdictWinsAndFlagsCombine) {
+  ExplorerResult first;
+  first.verdict.kind = tso::VerdictKind::kSafety;
+  first.verdict.message = "first";
+  ExplorerResult second;
+  second.verdict.kind = tso::VerdictKind::kStarvation;
+  second.verdict.message = "second";
+  second.exhausted = false;
+  second.deadline_hit = true;
+
+  ExplorerResult clean;
+  clean.merge(first);
+  clean.merge(second);
+  EXPECT_EQ(clean.verdict.message, "first");
+  EXPECT_EQ(clean.verdict.kind, tso::VerdictKind::kSafety);
+  EXPECT_FALSE(clean.exhausted) << "exhausted ANDs";
+  EXPECT_TRUE(clean.deadline_hit) << "deadline_hit ORs";
+
+  ExplorerResult found = second;
+  found.merge(first);
+  EXPECT_EQ(found.verdict.message, "second");
+  found.merge(ExplorerResult{});
+  EXPECT_FALSE(found.exhausted) << "a later exhausted part cannot restore it";
+  EXPECT_TRUE(found.deadline_hit);
 }
 
 // ---- the visited-set memory governor ------------------------------------

@@ -1,9 +1,9 @@
 // Parallel schedule exploration: the frontier partitioning must explore
 // exactly the sequential DFS' schedule space — identical `schedules` and
 // `truncated` counts for any worker count — report violations
-// deterministically (first-in-frontier-order wins, independent of thread
-// timing), and sleep-set pruning must cut schedules without changing any
-// verdict.
+// deterministically (first-in-frontier-order wins, so the raw witness is
+// the sequential run's at any thread count), and sleep-set pruning must
+// cut schedules without changing any verdict.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -13,6 +13,7 @@
 #include "tso/explorer.h"
 #include "tso/fuzz.h"
 #include "tso/schedule.h"
+#include "tso/sim.h"
 #include "util/check.h"
 
 namespace tpa {
@@ -107,6 +108,52 @@ TEST(ExplorerParallel, ViolationIsFoundAndDeterministicAcrossThreadCounts) {
       EXPECT_EQ(again.verdict.witness[i].kind, r.verdict.witness[i].kind) << i;
       EXPECT_EQ(again.verdict.witness[i].proc, r.verdict.witness[i].proc) << i;
       EXPECT_EQ(again.verdict.witness[i].var, r.verdict.witness[i].var) << i;
+    }
+  }
+}
+
+tso::Task<> read_n(tso::Proc& p, tso::VarId x, int n) {
+  for (int i = 0; i < n; ++i) co_await p.read(x);
+}
+
+tso::Task<> read_twice_then_fail(tso::Proc& p, tso::VarId x) {
+  co_await p.read(x);
+  co_await p.read(x);
+  TPA_FAIL("p1 read x twice");
+}
+
+TEST(ExplorerParallel, RawWitnessIsTheSequentialOneAtEveryThreadCount) {
+  // p0 reads x three times; p1 reads it twice and then fails. The first
+  // violation in DFS order runs p0 to completion first, but a shallower
+  // violating prefix ([p1 p1]) exists: a frontier pre-pass that validated
+  // child steps shallowest-first used to report that one at threads > 1.
+  const tso::ScenarioBuilder build = [](tso::Simulator& sim) {
+    const tso::VarId x = sim.alloc_var(0);
+    sim.spawn(0, read_n(sim.proc(0), x, 3));
+    sim.spawn(1, read_twice_then_fail(sim.proc(1), x));
+  };
+  ExplorerConfig cfg;
+  cfg.preemptions = 1;
+  cfg.shrink = false;
+  const ExplorerResult seq = explore(2, {}, build, cfg);
+  ASSERT_TRUE(seq.verdict.found());
+  const std::vector<tso::ProcId> expect = {0, 0, 0, 1, 1};
+  ASSERT_EQ(seq.verdict.witness.size(), expect.size());
+  for (std::size_t i = 0; i < expect.size(); ++i)
+    EXPECT_EQ(seq.verdict.witness[i].proc, expect[i]) << i;
+  for (int threads : {2, 4, 8}) {
+    ExplorerConfig pcfg = cfg;
+    pcfg.threads = threads;
+    const ExplorerResult par = explore(2, {}, build, pcfg);
+    ASSERT_TRUE(par.verdict.found()) << "threads=" << threads;
+    EXPECT_EQ(par.verdict.message, seq.verdict.message);
+    ASSERT_EQ(par.verdict.witness.size(), seq.verdict.witness.size())
+        << "threads=" << threads;
+    for (std::size_t i = 0; i < seq.verdict.witness.size(); ++i) {
+      EXPECT_EQ(par.verdict.witness[i].kind, seq.verdict.witness[i].kind)
+          << "threads=" << threads << " dir " << i;
+      EXPECT_EQ(par.verdict.witness[i].proc, seq.verdict.witness[i].proc)
+          << "threads=" << threads << " dir " << i;
     }
   }
 }

@@ -73,16 +73,6 @@ std::vector<Directive> possible_directives(const Simulator& sim,
   return out;
 }
 
-bool apply(Simulator& sim, const Directive& d) {
-  switch (d.kind) {
-    case ActionKind::kDeliver: return sim.deliver(d.proc);
-    case ActionKind::kCommit: return sim.commit(d.proc, d.var);
-    case ActionKind::kCrash: return sim.crash(d.proc);
-    case ActionKind::kRecover: return sim.recover(d.proc);
-  }
-  return false;
-}
-
 /// Drives `sim` through a seeded random schedule, checking the incremental
 /// fingerprint against the oracle after every single applied directive.
 void drive_checked(Simulator& sim, std::uint64_t seed, std::size_t max_steps,
@@ -97,7 +87,7 @@ void drive_checked(Simulator& sim, std::uint64_t seed, std::size_t max_steps,
             rng)];
     bool applied = false;
     try {
-      applied = apply(sim, d);
+      applied = sim.apply(d);
     } catch (const CheckFailure&) {
       // Intentionally violating registry scenarios throw from their safety
       // observer when the random schedule reaches the bug; the differential
@@ -144,9 +134,8 @@ TEST(FingerprintDifferential, AuditModeCrossChecksEveryCall) {
   for (std::size_t step = 0; step < 150; ++step) {
     std::vector<Directive> cand = possible_directives(sim, /*crashes=*/true);
     if (cand.empty()) break;
-    ASSERT_TRUE(apply(
-        sim, cand[std::uniform_int_distribution<std::size_t>(
-                 0, cand.size() - 1)(rng)]));
+    ASSERT_TRUE(sim.apply(cand[std::uniform_int_distribution<std::size_t>(
+        0, cand.size() - 1)(rng)]));
     // In audit mode every fingerprint() call TPA_CHECKs itself against the
     // oracle; a divergence would throw CheckFailure here.
     (void)sim.fingerprint(cand.front().proc);
@@ -165,8 +154,8 @@ TEST(FingerprintDifferential, SnapshotRestoreRoundTripsIncrementalState) {
       std::vector<Directive> cand =
           possible_directives(*sim, /*crashes=*/true);
       if (cand.empty()) break;
-      ASSERT_TRUE(apply(*sim, cand[std::uniform_int_distribution<std::size_t>(
-                                  0, cand.size() - 1)(rng)]));
+      ASSERT_TRUE(sim->apply(cand[std::uniform_int_distribution<std::size_t>(
+          0, cand.size() - 1)(rng)]));
       if (step % 10 != 9) continue;
 
       const tso::SimSnapshot snap = sim->snapshot();
@@ -183,8 +172,8 @@ TEST(FingerprintDifferential, SnapshotRestoreRoundTripsIncrementalState) {
       std::vector<Directive> next =
           possible_directives(*sim, /*crashes=*/false);
       if (!next.empty()) {
-        ASSERT_TRUE(apply(*sim, next.front()));
-        ASSERT_TRUE(apply(fresh, next.front()));
+        ASSERT_TRUE(sim->apply(next.front()));
+        ASSERT_TRUE(fresh.apply(next.front()));
         ASSERT_EQ(fresh.fingerprint(), sim->fingerprint())
             << name << " diverged one step after restore";
         expect_matches_oracle(fresh, std::string(name) + " post-restore step");
@@ -204,7 +193,7 @@ bool random_step(Simulator& sim, std::mt19937_64& rng, bool crashes = true) {
       cand[std::uniform_int_distribution<std::size_t>(0, cand.size() - 1)(
           rng)];
   try {
-    return apply(sim, d);
+    return sim.apply(d);
   } catch (const CheckFailure&) {
     return false;
   }
@@ -293,12 +282,12 @@ TEST(FingerprintDifferential, InPlaceRestoreOntoADivergedSimulator) {
           0, cand.size() - 1)(tail)];
       bool raised_in_place = false, raised_fresh = false;
       try {
-        ASSERT_TRUE(apply(*sim, d));
+        ASSERT_TRUE(sim->apply(d));
       } catch (const CheckFailure&) {
         raised_in_place = true;
       }
       try {
-        ASSERT_TRUE(apply(fresh, d));
+        ASSERT_TRUE(fresh.apply(d));
       } catch (const CheckFailure&) {
         raised_fresh = true;
       }
@@ -376,8 +365,8 @@ TEST(SymmetryCanonicalization, InvariantUnderRandomProcessPermutations) {
             0, cand.size() - 1)(sched)];
         const Directive renamed{
             d.kind, perm[static_cast<std::size_t>(d.proc)], d.var};
-        ASSERT_TRUE(apply(*a, d)) << name;
-        ASSERT_TRUE(apply(*b, renamed)) << name;
+        ASSERT_TRUE(a->apply(d)) << name;
+        ASSERT_TRUE(b->apply(renamed)) << name;
         ASSERT_EQ(a->fingerprint_symmetric(d.proc),
                   b->fingerprint_symmetric(renamed.proc))
             << name << " round " << round << " step " << step;
@@ -415,7 +404,7 @@ TEST(SymmetryCanonicalization, InducesSamePartitionAsMinOverAllRenamings) {
         if (cand.empty()) break;
         const Directive d = cand[std::uniform_int_distribution<std::size_t>(
             0, cand.size() - 1)(sched)];
-        ASSERT_TRUE(apply(*sim, d));
+        ASSERT_TRUE(sim->apply(d));
         const FpKey nk = fp_key(sim->fingerprint_symmetric(d.proc));
         const FpKey ok = fp_key(min_over_renamings(*sim, d.proc));
         new_to_old[nk].insert(ok);
