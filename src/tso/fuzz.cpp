@@ -34,14 +34,73 @@ void digest_directive(std::uint64_t* h, const Directive& d) {
   mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(d.var)));
 }
 
-/// One fuzz run in flight: the applied schedule plus its outcome.
+/// One fuzz run in flight: the applied schedule plus its outcome. A pass
+/// reuses one object for every run, so clear() keeps all capacity.
 struct RunOutcome {
   std::vector<Directive> schedule;
   bool violated = false;
   bool complete = false;
   int crashes = 0;  ///< crash directives applied so far this run
   std::string violation;
+  // Per-run scratch.
+  std::vector<Directive> seed_schedule;  ///< the mutated corpus entry
+  std::vector<ProcId> actors;
+  std::vector<ProcId> crashable;
+
+  void clear() {
+    schedule.clear();
+    violated = false;
+    complete = false;
+    crashes = 0;
+  }
 };
+
+/// Runs the completion invariant `hook` (if set) on `sim`; a CheckFailure
+/// it raises is a violation, its message stored in `*violation`.
+bool hook_fails(const Simulator& sim, const ScheduleHook& hook,
+                std::string* violation) {
+  if (!hook) return false;
+  try {
+    hook(sim);
+  } catch (const CheckFailure& e) {
+    *violation = e.what();
+    return true;
+  }
+  return false;
+}
+
+struct LenientStatus {
+  bool violated = false;
+  bool complete = false;
+};
+
+/// The body of replay_lenient, onto `sim` at its initial state. `*applied`
+/// is overwritten with the directives that applied (ending in the violating
+/// one, if any) and `*violation` receives a violation's message; callers
+/// that replay many schedules keep both buffers and restore `sim` in place.
+LenientStatus replay_lenient_onto(Simulator& sim,
+                                  const std::vector<Directive>& directives,
+                                  const ScheduleHook& on_complete,
+                                  std::vector<Directive>* applied,
+                                  std::string* violation) {
+  LenientStatus st;
+  applied->clear();
+  for (const Directive& d : directives) {
+    bool ok = false;
+    try {
+      ok = sim.apply(d);
+    } catch (const CheckFailure& e) {
+      applied->push_back(d);
+      st.violated = true;
+      *violation = e.what();
+      return st;
+    }
+    if (ok) applied->push_back(d);
+  }
+  st.complete = all_done(sim);
+  if (st.complete) st.violated = hook_fails(sim, on_complete, violation);
+  return st;
+}
 
 /// Drives `sim` with uniformly random actor choice until completion, the
 /// step cap, or a violation. Buffered writes commit with `commit_prob` per
@@ -51,7 +110,7 @@ void continue_random(Simulator& sim, Rng& rng, double commit_prob,
                      double crash_prob, int max_crashes,
                      std::uint64_t max_steps, RunOutcome* out) {
   const std::size_t n = sim.num_procs();
-  std::vector<ProcId> actors;
+  std::vector<ProcId>& actors = out->actors;
   while (out->schedule.size() < max_steps) {
     actors.clear();
     for (std::size_t q = 0; q < n; ++q) {
@@ -72,7 +131,8 @@ void continue_random(Simulator& sim, Rng& rng, double commit_prob,
     // crash_prob is 0, keeping crash-free schedule digests unchanged.
     if (crash_prob > 0 && out->crashes < max_crashes &&
         rng.chance(crash_prob)) {
-      std::vector<ProcId> crashable;
+      std::vector<ProcId>& crashable = out->crashable;
+      crashable.clear();
       for (std::size_t q = 0; q < n; ++q)
         if (sim.can_crash(static_cast<ProcId>(q)))
           crashable.push_back(static_cast<ProcId>(q));
@@ -128,6 +188,68 @@ double pick_commit_prob(Rng& rng, double base) {
   return rng.chance(0.5) ? base : rng.uniform();
 }
 
+/// The body of replay_lasso, onto `sim` at its initial state: `*r` is
+/// overwritten, its `stem` buffer reused.
+void replay_lasso_onto(Simulator& sim, const std::vector<Directive>& stem,
+                       const std::vector<Directive>& cycle, LassoReplay* r) {
+  r->closes = false;
+  r->kind = VerdictKind::kClean;
+  std::string violation;
+  if (replay_lenient_onto(sim, stem, {}, &r->stem, &violation).violated ||
+      cycle.empty())
+    return;  // not a liveness lasso
+  const std::size_t n = sim.num_procs();
+  // The scheduled process is part of the explorer's on-stack key, so the
+  // oracle folds it in too: the process of the last non-crash directive
+  // (crashes do not transfer scheduling).
+  ProcId current = kNoProc;
+  for (const Directive& d : r->stem)
+    if (d.kind != ActionKind::kCrash) current = d.proc;
+  const Fingerprint entry = sim.fingerprint_progress(current);
+  std::vector<Status> status0(n);
+  std::vector<char> enabled(n, 0), scheduled(n, 0), changed(n, 0);
+  for (std::size_t q = 0; q < n; ++q) {
+    status0[q] = sim.proc(static_cast<ProcId>(q)).status();
+    enabled[q] = sim.can_act(static_cast<ProcId>(q)) ? 1 : 0;
+  }
+  for (const Directive& d : cycle) {
+    bool ok = false;
+    try {
+      ok = sim.apply(d);
+    } catch (const CheckFailure&) {
+      return;  // a safety violation inside the cycle is not a lasso
+    }
+    if (!ok) return;  // the cycle must apply strictly
+    if (d.kind != ActionKind::kCrash) current = d.proc;
+    if (d.proc != kNoProc && static_cast<std::size_t>(d.proc) < n)
+      scheduled[static_cast<std::size_t>(d.proc)] = 1;
+    for (std::size_t q = 0; q < n; ++q)
+      if (sim.proc(static_cast<ProcId>(q)).status() != status0[q])
+        changed[q] = 1;
+  }
+  const Fingerprint back = sim.fingerprint_progress(current);
+  if (!(back == entry)) return;  // does not re-close the abstract state
+  // Weak fairness: every process enabled at the cycle entry must be
+  // scheduled somewhere in the cycle, or the lasso describes an unfair
+  // scheduler and proves nothing about the algorithm.
+  for (std::size_t q = 0; q < n; ++q)
+    if (enabled[q] && !scheduled[q]) return;
+  r->closes = true;
+  // Classification by section-watching: a closing cycle restores every
+  // status, so any observed change means a full passage through the
+  // critical section happened (progress). A process parked in Entry for the
+  // whole cycle is starved; nobody moving at all is a livelock.
+  bool starved = false;
+  bool any_change = false;
+  for (std::size_t q = 0; q < n; ++q) {
+    any_change |= changed[q] != 0;
+    if (status0[q] == Status::kEntry && !changed[q]) starved = true;
+  }
+  r->kind = starved ? VerdictKind::kStarvation
+                    : (any_change ? VerdictKind::kClean
+                                  : VerdictKind::kLivelock);
+}
+
 }  // namespace
 
 LenientReplay replay_lenient(std::size_t n_procs, SimConfig sim_config,
@@ -137,27 +259,10 @@ LenientReplay replay_lenient(std::size_t n_procs, SimConfig sim_config,
   LenientReplay r;
   r.sim = std::make_unique<Simulator>(n_procs, sim_config);
   build(*r.sim);
-  for (const Directive& d : directives) {
-    bool ok = false;
-    try {
-      ok = r.sim->apply(d);
-    } catch (const CheckFailure& e) {
-      r.applied.push_back(d);
-      r.violated = true;
-      r.violation = e.what();
-      return r;
-    }
-    if (ok) r.applied.push_back(d);
-  }
-  r.complete = all_done(*r.sim);
-  if (r.complete && on_complete) {
-    try {
-      on_complete(*r.sim);
-    } catch (const CheckFailure& e) {
-      r.violated = true;
-      r.violation = e.what();
-    }
-  }
+  const LenientStatus st = replay_lenient_onto(*r.sim, directives, on_complete,
+                                               &r.applied, &r.violation);
+  r.violated = st.violated;
+  r.complete = st.complete;
   return r;
 }
 
@@ -166,24 +271,24 @@ ShrinkOutcome shrink_witness(std::size_t n_procs, SimConfig sim_config,
                              std::vector<Directive> witness,
                              const ScheduleHook& on_complete) {
   ShrinkOutcome out;
+  // Every oracle call replays on this one simulator, restored in place to
+  // its root state — also after a replay that raised mid-step.
+  Simulator sim(n_procs, sim_config);
+  build(sim);
+  const SimSnapshot root = sim.snapshot();
+  std::vector<Directive> cand;
   std::vector<Directive> applied;
   std::string msg;
-  auto violates = [&](const std::vector<Directive>& cand) {
-    out.replays++;
-    LenientReplay r =
-        replay_lenient(n_procs, sim_config, build, cand, on_complete);
-    if (r.violated) {
-      applied = std::move(r.applied);
-      msg = std::move(r.violation);
-    }
-    return r.violated;
+  auto violates = [&](const std::vector<Directive>& c) {
+    if (out.replays++ > 0) sim.restore(root, build);
+    return replay_lenient_onto(sim, c, on_complete, &applied, &msg).violated;
   };
 
   if (!violates(witness)) {
     out.witness = std::move(witness);  // not reproducible: hands off
     return out;
   }
-  witness = std::move(applied);  // drop directives that never applied
+  witness.swap(applied);  // drop directives that never applied
   out.violation = msg;
 
   std::size_t chunk = std::max<std::size_t>(1, witness.size() / 2);
@@ -191,14 +296,14 @@ ShrinkOutcome shrink_witness(std::size_t n_procs, SimConfig sim_config,
     bool removed = false;
     for (std::size_t start = 0; start < witness.size();) {
       const std::size_t stop = std::min(witness.size(), start + chunk);
-      std::vector<Directive> cand(witness.begin(),
-                                  witness.begin() + static_cast<std::ptrdiff_t>(start));
+      cand.assign(witness.begin(),
+                  witness.begin() + static_cast<std::ptrdiff_t>(start));
       cand.insert(cand.end(), witness.begin() + static_cast<std::ptrdiff_t>(stop),
                   witness.end());
       if (violates(cand)) {
         // The lenient replay may have dropped even more than the chunk.
-        witness = std::move(applied);
-        out.violation = std::move(msg);
+        witness.swap(applied);
+        out.violation.swap(msg);
         removed = true;  // re-test the same start against the new content
       } else {
         start += chunk;
@@ -218,61 +323,10 @@ LassoReplay replay_lasso(std::size_t n_procs, SimConfig sim_config,
                          const ScenarioBuilder& build,
                          const std::vector<Directive>& stem,
                          const std::vector<Directive>& cycle) {
+  Simulator sim(n_procs, sim_config);
+  build(sim);
   LassoReplay r;
-  LenientReplay base = replay_lenient(n_procs, sim_config, build, stem);
-  r.stem = std::move(base.applied);
-  if (base.violated || cycle.empty()) return r;  // not a liveness lasso
-  Simulator& sim = *base.sim;
-  const std::size_t n = sim.num_procs();
-  // The scheduled process is part of the explorer's on-stack key, so the
-  // oracle folds it in too: the process of the last non-crash directive
-  // (crashes do not transfer scheduling).
-  ProcId current = kNoProc;
-  for (const Directive& d : r.stem)
-    if (d.kind != ActionKind::kCrash) current = d.proc;
-  const Fingerprint entry = sim.fingerprint_progress(current);
-  std::vector<Status> status0(n);
-  std::vector<char> enabled(n, 0), scheduled(n, 0), changed(n, 0);
-  for (std::size_t q = 0; q < n; ++q) {
-    status0[q] = sim.proc(static_cast<ProcId>(q)).status();
-    enabled[q] = sim.can_act(static_cast<ProcId>(q)) ? 1 : 0;
-  }
-  for (const Directive& d : cycle) {
-    bool ok = false;
-    try {
-      ok = sim.apply(d);
-    } catch (const CheckFailure&) {
-      return r;  // a safety violation inside the cycle is not a lasso
-    }
-    if (!ok) return r;  // the cycle must apply strictly
-    if (d.kind != ActionKind::kCrash) current = d.proc;
-    if (d.proc != kNoProc && static_cast<std::size_t>(d.proc) < n)
-      scheduled[static_cast<std::size_t>(d.proc)] = 1;
-    for (std::size_t q = 0; q < n; ++q)
-      if (sim.proc(static_cast<ProcId>(q)).status() != status0[q])
-        changed[q] = 1;
-  }
-  const Fingerprint back = sim.fingerprint_progress(current);
-  if (!(back == entry)) return r;  // does not re-close the abstract state
-  // Weak fairness: every process enabled at the cycle entry must be
-  // scheduled somewhere in the cycle, or the lasso describes an unfair
-  // scheduler and proves nothing about the algorithm.
-  for (std::size_t q = 0; q < n; ++q)
-    if (enabled[q] && !scheduled[q]) return r;
-  r.closes = true;
-  // Classification by section-watching: a closing cycle restores every
-  // status, so any observed change means a full passage through the
-  // critical section happened (progress). A process parked in Entry for the
-  // whole cycle is starved; nobody moving at all is a livelock.
-  bool starved = false;
-  bool any_change = false;
-  for (std::size_t q = 0; q < n; ++q) {
-    any_change |= changed[q] != 0;
-    if (status0[q] == Status::kEntry && !changed[q]) starved = true;
-  }
-  r.kind = starved ? VerdictKind::kStarvation
-                   : (any_change ? VerdictKind::kClean
-                                 : VerdictKind::kLivelock);
+  replay_lasso_onto(sim, stem, cycle, &r);
   return r;
 }
 
@@ -290,28 +344,32 @@ LassoShrinkOutcome shrink_lasso(std::size_t n_procs, SimConfig sim_config,
   std::vector<Directive> stem(b, b + static_cast<std::ptrdiff_t>(cycle_start));
   std::vector<Directive> cycle(b + static_cast<std::ptrdiff_t>(cycle_start),
                                witness.end());
+  // As in shrink_witness, one simulator restored in place to its root
+  // serves every oracle call.
+  Simulator sim(n_procs, sim_config);
+  build(sim);
+  const SimSnapshot root = sim.snapshot();
+  LassoReplay r;
   // Accept a candidate only if the cycle still closes *and* classifies as
   // the same kind — a starvation witness must not degrade into a livelock
-  // or a mere progress cycle mid-shrink.
+  // or a mere progress cycle mid-shrink. On acceptance r.stem holds the
+  // stem directives that applied.
   auto accepts = [&](const std::vector<Directive>& st,
-                     const std::vector<Directive>& cy,
-                     std::vector<Directive>* applied_stem) {
-    out.replays++;
-    LassoReplay r = replay_lasso(n_procs, sim_config, build, st, cy);
-    if (!r.closes || r.kind != kind) return false;
-    if (applied_stem != nullptr) *applied_stem = std::move(r.stem);
-    return true;
+                     const std::vector<Directive>& cy) {
+    if (out.replays++ > 0) sim.restore(root, build);
+    replay_lasso_onto(sim, st, cy, &r);
+    return r.closes && r.kind == kind;
   };
-  std::vector<Directive> applied;
-  if (!accepts(stem, cycle, &applied)) {
+  if (!accepts(stem, cycle)) {
     out.cycle_start = cycle_start;
     out.witness = std::move(witness);  // not reproducible: hands off
     return out;
   }
-  stem = std::move(applied);  // drop stem directives that never applied
+  stem.swap(r.stem);  // drop stem directives that never applied
   // ddmin one component while holding the other fixed. Stem candidates go
   // through the lenient replay, so an accepted candidate may shed even more
   // directives than the removed chunk; cycle candidates are strict.
+  std::vector<Directive> cand;
   auto ddmin = [&](std::vector<Directive>& seq, bool is_stem) {
     bool shrunk_any = false;
     std::size_t chunk = std::max<std::size_t>(1, seq.size() / 2);
@@ -319,21 +377,14 @@ LassoShrinkOutcome shrink_lasso(std::size_t n_procs, SimConfig sim_config,
       bool removed = false;
       for (std::size_t start = 0; start < seq.size();) {
         const std::size_t stop = std::min(seq.size(), start + chunk);
-        std::vector<Directive> cand(
-            seq.begin(), seq.begin() + static_cast<std::ptrdiff_t>(start));
+        cand.assign(seq.begin(),
+                    seq.begin() + static_cast<std::ptrdiff_t>(start));
         cand.insert(cand.end(),
                     seq.begin() + static_cast<std::ptrdiff_t>(stop),
                     seq.end());
-        bool ok;
-        if (is_stem) {
-          std::vector<Directive> app;
-          ok = accepts(cand, cycle, &app);
-          if (ok) seq = std::move(app);
-        } else {
-          ok = accepts(stem, cand, nullptr);
-          if (ok) seq = std::move(cand);
-        }
+        const bool ok = is_stem ? accepts(cand, cycle) : accepts(stem, cand);
         if (ok) {
+          seq.swap(is_stem ? r.stem : cand);
           removed = true;
           shrunk_any = true;  // re-test the same start against the new seq
         } else {
@@ -378,6 +429,13 @@ FuzzResult fuzz(std::size_t n_procs, SimConfig sim_config,
   Rng rng(config.seed);
   std::vector<std::vector<Directive>> corpus;
   const auto deadline = deadline_after(config.time_budget_ms);
+  // One simulator serves the whole pass: every run after the first starts
+  // from the root state, restored in place.
+  Simulator sim(n_procs, run_cfg);
+  sim.count_events_into(&result.steps);
+  build(sim);
+  const SimSnapshot root = sim.snapshot();
+  RunOutcome out;
 
   for (std::uint64_t run = 0; run < config.runs; ++run) {
     if (deadline != kNoDeadline &&
@@ -386,26 +444,24 @@ FuzzResult fuzz(std::size_t n_procs, SimConfig sim_config,
       break;
     }
 
-    RunOutcome out;
+    if (run > 0) sim.restore(root, build);
+    out.clear();
     const double commit_prob = pick_commit_prob(rng, config.commit_prob);
-    auto sim = std::make_unique<Simulator>(n_procs, run_cfg);
-    sim->count_events_into(&result.steps);
-    build(*sim);
 
     const bool mutate =
         config.mutate && !corpus.empty() && rng.chance(0.75);
     if (mutate) {
-      std::vector<Directive> seed_schedule =
-          corpus[rng.below(corpus.size())];
+      std::vector<Directive>& seed_schedule = out.seed_schedule;
+      seed_schedule = corpus[rng.below(corpus.size())];
+      const auto is_crash = [](const Directive& d) {
+        return d.kind == ActionKind::kCrash;
+      };
+      const auto seed_crashes = static_cast<std::size_t>(
+          std::count_if(seed_schedule.begin(), seed_schedule.end(), is_crash));
       // The crash-relocation mutation only enters the lottery when the seed
       // schedule actually carries a crash, so crash-free configs keep the
       // exact pre-fault-injection mutation stream.
-      const bool has_crashes =
-          std::any_of(seed_schedule.begin(), seed_schedule.end(),
-                      [](const Directive& d) {
-                        return d.kind == ActionKind::kCrash;
-                      });
-      switch (rng.below(has_crashes ? 5u : 4u)) {
+      switch (rng.below(seed_crashes > 0 ? 5u : 4u)) {
         case 0: {  // prefix truncation: keep a prefix, re-randomize the rest
           seed_schedule.resize(rng.below(seed_schedule.size() + 1));
           break;
@@ -441,14 +497,13 @@ FuzzResult fuzz(std::size_t n_procs, SimConfig sim_config,
         }
         case 4: {  // crash relocation: move one crash to a fresh position,
                    // probing a different crash point on the same schedule
-          std::vector<std::size_t> crash_at;
-          for (std::size_t i = 0; i < seed_schedule.size(); ++i)
-            if (seed_schedule[i].kind == ActionKind::kCrash)
-              crash_at.push_back(i);
-          const std::size_t i = crash_at[rng.below(crash_at.size())];
-          const Directive d = seed_schedule[i];
-          seed_schedule.erase(seed_schedule.begin() +
-                              static_cast<std::ptrdiff_t>(i));
+          std::size_t k = rng.below(seed_crashes);  // the k-th crash moves
+          auto it = std::find_if(seed_schedule.begin(), seed_schedule.end(),
+                                 [&](const Directive& d) {
+                                   return is_crash(d) && k-- == 0;
+                                 });
+          const Directive d = *it;
+          seed_schedule.erase(it);
           const std::size_t j = rng.below(seed_schedule.size() + 1);
           seed_schedule.insert(
               seed_schedule.begin() + static_cast<std::ptrdiff_t>(j), d);
@@ -456,25 +511,17 @@ FuzzResult fuzz(std::size_t n_procs, SimConfig sim_config,
         }
       }
       // Lenient prefix replay: inapplicable mutated directives are skipped.
-      for (const Directive& d : seed_schedule) {
-        bool ok = false;
-        try {
-          ok = sim->apply(d);
-        } catch (const CheckFailure& e) {
-          out.schedule.push_back(d);
-          out.violated = true;
-          out.violation = e.what();
-          break;
-        }
-        if (ok) {
-          out.schedule.push_back(d);
-          if (d.kind == ActionKind::kCrash) out.crashes++;
-        }
-      }
+      out.violated = replay_lenient_onto(sim, seed_schedule, {}, &out.schedule,
+                                         &out.violation)
+                         .violated;
+      out.crashes = static_cast<int>(
+          std::count_if(out.schedule.begin(), out.schedule.end(), is_crash));
     }
     if (!out.violated)
-      continue_random(*sim, rng, commit_prob, config.crash_prob,
+      continue_random(sim, rng, commit_prob, config.crash_prob,
                       config.max_crashes, config.max_steps, &out);
+    if (out.complete)
+      out.violated = hook_fails(sim, config.on_complete, &out.violation);
 
     result.schedules++;
     if (!out.violated && !out.complete) result.truncated++;
@@ -498,11 +545,12 @@ FuzzResult fuzz(std::size_t n_procs, SimConfig sim_config,
       }
       return result;
     }
+    // Copy, not move: the entry's and the schedule's capacity both survive.
     if (out.complete && !out.schedule.empty() && config.corpus_size > 0) {
       if (corpus.size() < config.corpus_size)
-        corpus.push_back(std::move(out.schedule));
+        corpus.push_back(out.schedule);
       else
-        corpus[run % config.corpus_size] = std::move(out.schedule);
+        corpus[run % config.corpus_size] = out.schedule;
     }
   }
   return result;

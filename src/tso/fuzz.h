@@ -30,13 +30,15 @@ struct LenientReplay {
   std::string violation;
 };
 
-/// Replays `directives`, *skipping* any that cannot be applied — unlike
-/// strict tso::replay, which raises on them. A CheckFailure thrown by a
-/// step is a violation: the replay stops with `applied` ending in the
-/// violating directive. If the schedule runs to completion, `on_complete`
-/// (when set) is invoked and may flag a violation as well. This is the
-/// oracle mutation and shrinking are built on: dropped directives shift the
-/// remainder onto a nearby legal schedule instead of invalidating it.
+/// Replays `directives` on a freshly built simulator, *skipping* any that
+/// cannot be applied — unlike strict tso::replay, which raises on them. A
+/// CheckFailure thrown by a step is a violation: the replay stops with
+/// `applied` ending in the violating directive. If the schedule runs to
+/// completion, `on_complete` (when set) is invoked and may flag a violation
+/// as well. This is the oracle mutation and shrinking are built on: dropped
+/// directives shift the remainder onto a nearby legal schedule instead of
+/// invalidating it. fuzz() and the shrinkers run the same replay on one
+/// simulator each, restored in place between replays.
 LenientReplay replay_lenient(std::size_t n_procs, SimConfig sim_config,
                              const ScenarioBuilder& build,
                              const std::vector<Directive>& directives,
@@ -130,7 +132,11 @@ struct FuzzConfig {
   /// the whole pass matters (each run is seed-deterministic either way).
   std::uint64_t time_budget_ms = 0;
   /// Invariant invoked at the end of every *complete* run (same contract as
-  /// ExplorerConfig::on_complete).
+  /// ExplorerConfig::on_complete): a CheckFailure it raises is a kSafety
+  /// verdict whose raw witness is that run's schedule, shrunk under the
+  /// same hook. Setting it keeps the caller's instrumentation (costs,
+  /// awareness, trace) on; it draws no randomness, so schedules and the
+  /// digest are those of the hook-free pass up to the first failure.
   ScheduleHook on_complete;
 };
 

@@ -91,6 +91,85 @@ TEST(FuzzSmoke, CrashInjectionBreaksFenceFreeRecoverableLockOnly) {
   EXPECT_GT(ok.schedules, 0u);
 }
 
+// Recycled-simulator smoke: a fuzz pass runs on one simulator restored in
+// place to its root state before every run, and a shrink runs every oracle
+// replay on one simulator the same way. Under the sanitize label this is the
+// ASan+UBSan pass over restores that follow a replay which raised mid-step
+// (bakery-none-3p), that tear down processes in later recovery incarnations
+// (the crash-bearing passes), and that rewind the cost, awareness and trace
+// observers a hook keeps attached. The values were recorded with a
+// simulator built afresh for every run and every replay.
+TEST(FuzzSmoke, RecycledSimulatorPassesMatchGoldenValues) {
+  struct Case {
+    const char* scenario;
+    std::uint64_t seed;
+    double crash_prob;
+    bool hooked;
+    std::uint64_t schedule_digest;
+    std::uint64_t schedules;
+    std::uint64_t steps;
+    std::uint64_t violating_run;
+    std::size_t raw_len;
+    std::size_t witness_len;
+    std::uint64_t shrink_replays;
+  };
+  const Case cases[] = {
+      {"bakery-tso-3p", 1, 0.0, false, 0x8de809bcfcb3ee85ULL, 3000, 299195, 0,
+       0, 0, 0},
+      {"bakery-tso-3p", 1, 0.0, true, 0x8de809bcfcb3ee85ULL, 3000, 299195, 0,
+       0, 0, 0},
+      {"bakery-none-3p", 1, 0.0, false, 0xe6b857176a1152a6ULL, 5, 316, 4, 32,
+       22, 83},
+      {"bakery-none-3p", 1, 0.0, true, 0xe6b857176a1152a6ULL, 5, 316, 4, 32,
+       22, 83},
+      {"recoverable-nofence-2p", 3, 0.02, false, 0xceac22d64937c6e8ULL, 64,
+       6028, 63, 13, 12, 34},
+      {"recoverable-nofence-2p", 3, 0.02, true, 0xceac22d64937c6e8ULL, 64,
+       6028, 63, 13, 12, 34},
+      {"recoverable-2p", 1, 0.05, false, 0x4c2ec6fcac0c3561ULL, 3000, 149309,
+       0, 0, 0, 0},
+  };
+  for (const Case& c : cases) {
+    const auto* s = runtime::find_scenario(c.scenario);
+    ASSERT_NE(s, nullptr) << c.scenario;
+    tso::FuzzConfig cfg;
+    cfg.seed = c.seed;
+    cfg.runs = 3'000;
+    cfg.crash_prob = c.crash_prob;
+    if (c.hooked) cfg.on_complete = [](const tso::Simulator&) {};
+    const std::string what = std::string(c.scenario) + " seed " +
+                             std::to_string(c.seed) +
+                             (c.hooked ? " hooked" : "");
+    const tso::FuzzResult r = s->fuzz(cfg);
+    EXPECT_EQ(r.schedule_digest, c.schedule_digest) << what;
+    EXPECT_EQ(r.schedules, c.schedules) << what;
+    EXPECT_EQ(r.steps, c.steps) << what;
+    EXPECT_EQ(r.violating_run, c.violating_run) << what;
+    EXPECT_EQ(r.verdict.raw_witness.size(), c.raw_len) << what;
+    EXPECT_EQ(r.verdict.witness.size(), c.witness_len) << what;
+    if (c.raw_len == 0) {
+      EXPECT_FALSE(r.verdict.found()) << what << ": " << r.verdict.message;
+      continue;
+    }
+    const tso::ShrinkOutcome shrunk = tso::shrink_witness(
+        s->n_procs, s->sim, s->build, r.verdict.raw_witness, cfg.on_complete);
+    EXPECT_EQ(shrunk.replays, c.shrink_replays) << what;
+    ASSERT_EQ(shrunk.witness.size(), r.verdict.witness.size()) << what;
+    for (std::size_t i = 0; i < shrunk.witness.size(); ++i) {
+      EXPECT_EQ(shrunk.witness[i].kind, r.verdict.witness[i].kind) << what;
+      EXPECT_EQ(shrunk.witness[i].proc, r.verdict.witness[i].proc) << what;
+      EXPECT_EQ(shrunk.witness[i].var, r.verdict.witness[i].var) << what;
+    }
+    EXPECT_EQ(c.crash_prob > 0,
+              std::any_of(shrunk.witness.begin(), shrunk.witness.end(),
+                          [](const tso::Directive& d) {
+                            return d.kind == tso::ActionKind::kCrash;
+                          }))
+        << what << ": the crash-injected witness keeps its crash";
+    EXPECT_THROW((void)s->replay(r.verdict.witness), CheckFailure) << what;
+  }
+}
+
 // Dedup ablation smoke: stateful exploration (visited-set pruning) must
 // find the very same violation, with the very same witness, as the raw
 // enumeration — on a violating scope and on a safe one. Runs under both the

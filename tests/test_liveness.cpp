@@ -94,6 +94,40 @@ TEST(Liveness, ShrunkLassoIsLocallyMinimal) {
   }
 }
 
+// Golden values recorded with a simulator built afresh for every lasso
+// oracle call. shrink_lasso now restores one simulator in place, so a state
+// leak between calls would move the witness, its cycle entry or the count.
+TEST(Liveness, LassoShrinkMatchesGoldenValues) {
+  const Scenario* s = find_scenario("tas-loop-2p");
+  ASSERT_NE(s, nullptr);
+  ExplorerConfig cfg = liveness_config(4);
+  cfg.shrink = false;
+  const ExplorerResult raw = s->explore(cfg);
+  ASSERT_TRUE(raw.verdict.is_lasso());
+  EXPECT_EQ(raw.verdict.witness.size(), 599u);
+  EXPECT_EQ(raw.verdict.cycle_start, 39u);
+
+  const tso::LassoShrinkOutcome shrunk =
+      tso::shrink_lasso(s->n_procs, s->sim, s->build, raw.verdict.witness,
+                        raw.verdict.cycle_start, raw.verdict.kind);
+  EXPECT_EQ(shrunk.replays, 160u);
+  EXPECT_EQ(shrunk.cycle_start, 28u);
+  // Stem: p0 x25, p1 x3. Cycle: p1 x7, p0, p1 — p1 spins while p0 is
+  // parked in Entry.
+  const Directive p0{tso::ActionKind::kDeliver, 0, tso::kNoVar};
+  const Directive p1{tso::ActionKind::kDeliver, 1, tso::kNoVar};
+  std::vector<Directive> want(25, p0);
+  want.insert(want.end(), 10, p1);
+  want.push_back(p0);
+  want.push_back(p1);
+  ASSERT_EQ(shrunk.witness.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(shrunk.witness[i].kind, want[i].kind) << i;
+    EXPECT_EQ(shrunk.witness[i].proc, want[i].proc) << i;
+    EXPECT_EQ(shrunk.witness[i].var, want[i].var) << i;
+  }
+}
+
 TEST(Liveness, SymmetryReductionStillFindsTheStarvationVerdict) {
   // Under canonical symmetry the cycle closes on the *orbit* of states, so
   // the verdict kind is reproduced even though the renamed lasso need not
