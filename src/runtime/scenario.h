@@ -7,7 +7,12 @@
 // registry itself lives here too, so examples, benchmarks and tests resolve
 // the scenario ids stored in witness files (tests/corpus/*.witness) through
 // one place. Builders must be schedule-independent and safe to invoke
-// concurrently (the parallel explorer shares them across workers).
+// concurrently (the parallel explorer shares them across workers), and every
+// invocation must allocate the same variables and spawn the same programs.
+// Host-side state a program writes (AdaptiveBakery's slot cache, NodePool's
+// per-process cursor) may be read only by the same incarnation of the same
+// process: Simulator::restore() keeps coroutines from earlier builder runs
+// next to fresh ones, so two processes may see different host objects.
 #pragma once
 
 #include <memory>

@@ -177,10 +177,12 @@ class Proc {
   std::uint32_t incarnations_ = 0;
   std::coroutine_handle<> resume_point_;
 
-  /// Every op result handed to the program so far, in order. Programs are
-  /// deterministic functions of their op results, so feeding this list back
-  /// into a freshly spawned coroutine fast-forwards it to the same
-  /// suspension point — the basis of Simulator::restore().
+  /// Every op result handed to the current incarnation's program so far, in
+  /// order (cleared at each crash). Programs are deterministic functions of
+  /// their op results, so this list names the coroutine's suspension point:
+  /// Simulator::restore() keeps a live frame whose list equals the
+  /// snapshot's, and fast-forwards a respawned one by feeding the list back
+  /// at its first resume. Until then the list holds what the frame owes.
   std::vector<Value> op_results_;
 
   /// FNV-1a basis for op_hash_ (an empty op-result history).

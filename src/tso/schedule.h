@@ -20,7 +20,9 @@ namespace tpa::tso {
 
 /// Rebuilds a scenario in a fresh simulator: allocates the same variables
 /// (in the same order!) and spawns every process' program. Determinism of
-/// the replay machinery depends on builders being schedule-independent.
+/// the replay machinery depends on builders being schedule-independent;
+/// Simulator::restore() also needs host state a program writes to be read
+/// only by the same incarnation of the same process (see its comment).
 using ScenarioBuilder = std::function<void(Simulator&)>;
 
 /// Replays `directives` in a freshly built simulator. If `erased` is

@@ -185,6 +185,8 @@ bool Proc::remotely_read(VarId v) const {
 Simulator::Simulator(std::size_t n_procs, SimConfig config)
     : config_(config),
       programs_(n_procs),
+      spares_(n_procs),
+      owed_(n_procs, 0),
       recovery_(n_procs),
       touched_(n_procs) {
   procs_.reserve(n_procs);
@@ -239,6 +241,13 @@ void Simulator::poke(VarId v, Value value) {
 
 void Simulator::spawn(ProcId p, Task<> program) {
   Proc& proc = this->proc(p);
+  if (restoring_) {
+    // A builder run inside restore(): park the unstarted program as p's
+    // spare if the slot is free, otherwise drop it.
+    Task<>& spare = spares_[static_cast<std::size_t>(p)];
+    if (!spare.valid()) spare = std::move(program);
+    return;
+  }
   fp_dirty_proc(p);
   TPA_CHECK(!programs_[static_cast<std::size_t>(p)].valid(),
             "process p" << p << " already has a program");
@@ -255,7 +264,11 @@ void Simulator::spawn(ProcId p, Task<> program) {
 void Simulator::set_recovery(ProcId p, RecoveryFactory factory) {
   proc(p);  // validate the id
   TPA_CHECK(factory != nullptr, "null recovery factory for p" << p);
-  recovery_[static_cast<std::size_t>(p)] = std::move(factory);
+  RecoveryFactory& slot = recovery_[static_cast<std::size_t>(p)];
+  // A builder run inside restore() keeps the registered factory: a kept
+  // recovered frame may point into the host objects it captures.
+  if (restoring_ && slot != nullptr) return;
+  slot = std::move(factory);
   fp_dirty_proc(p);
 }
 
@@ -298,6 +311,7 @@ bool Simulator::crash(ProcId pid) {
   // recursively destroys nested task frames), the pending op, and the
   // in-flight passage (aborted, not recorded in finished_passages).
   programs_[static_cast<std::size_t>(pid)] = Task<>();
+  owed_[static_cast<std::size_t>(pid)] = 0;
   p.pending_ = SimOp{OpKind::kRead};
   p.has_pending_ = false;
   p.resume_point_ = {};
@@ -436,14 +450,30 @@ std::uint64_t fold_op_result(std::uint64_t h, Value r) {
   return h;
 }
 
+/// A respawned frame did not reach the state the snapshot records: the
+/// builder or a program is not deterministic. A std::logic_error but not a
+/// CheckFailure, so the explorer's and fuzzer's violation catches — which
+/// a lazy fast-forward runs inside — never report it as a verdict.
+[[noreturn]] void restore_diverged(const Proc& p, const char* what) {
+  std::ostringstream os;
+  os << "restore diverged for p" << p.id() << ": " << what
+     << " (the scenario builder or a program is not deterministic)";
+  throw std::logic_error(os.str());
+}
+
+/// The pending op a frame parks, minus the result the machine fills in.
+bool same_op(const SimOp& a, const SimOp& b) {
+  return a.kind == b.kind && a.var == b.var && a.value == b.value &&
+         a.expected == b.expected;
+}
+
 }  // namespace
 
 void Simulator::resume(Proc& p) {
+  if (owed_[static_cast<std::size_t>(p.id())]) fast_forward(p);
   fp_dirty_proc(p.id());
-  if (!restoring_) {
-    p.op_results_.push_back(p.pending_.result);
-    p.op_hash_ = fold_op_result(p.op_hash_, p.pending_.result);
-  }
+  p.op_results_.push_back(p.pending_.result);
+  p.op_hash_ = fold_op_result(p.op_hash_, p.pending_.result);
   p.has_pending_ = false;
   auto h = p.resume_point_;
   p.resume_point_ = {};
@@ -457,7 +487,6 @@ void Simulator::resume(Proc& p) {
 }
 
 void Simulator::note_new_pending(Proc& p) {
-  if (restoring_) return;
   for (auto& o : observers_) o->on_pending(*this, p);
 }
 
@@ -1245,6 +1274,30 @@ void Simulator::snapshot_into(SimSnapshot& s) const {
   for (const auto& o : observers_) s.observers.push_back(o->snapshot());
 }
 
+bool Simulator::feed(Proc& p, const std::vector<Value>& results) {
+  for (const Value r : results) {
+    if (!p.has_pending_) return false;
+    p.pending_.result = r;
+    p.has_pending_ = false;
+    const auto h = p.resume_point_;
+    p.resume_point_ = {};
+    h.resume();
+  }
+  return true;
+}
+
+void Simulator::fast_forward(Proc& p) {
+  owed_[static_cast<std::size_t>(p.id())] = 0;
+  // The frame sits at its first suspension point; the state's pending op
+  // (result included) is what the caller is about to hand it.
+  const SimOp want = p.pending_;
+  if (!feed(p, p.op_results_) || !p.has_pending_ || !same_op(p.pending_, want))
+    restore_diverged(p, "fed its recorded op results at its first resume, "
+                        "the respawned frame is not pending on the recorded "
+                        "op");
+  p.pending_ = want;
+}
+
 void Simulator::restore(const SimSnapshot& snap,
                         const std::function<void(Simulator&)>& build) {
   const std::size_t n = procs_.size();
@@ -1255,80 +1308,93 @@ void Simulator::restore(const SimSnapshot& snap,
             "snapshot has " << snap.observers.size()
                             << " observer states, simulator has "
                             << observers_.size());
-  restoring_ = true;
-  // Coroutine frames cannot be copied: destroy any old programs (before the
-  // procs they reference), respawn them, and fast-forward below. The Proc
-  // objects are reset to their constructed state in place rather than
-  // reallocated, so their buffer / op-result / passage vectors keep their
-  // capacity across restores.
-  programs_.clear();
-  programs_.resize(n);
-  recovery_.assign(n, nullptr);
-  for (const auto& owned : procs_) {
-    Proc& p = *owned;
-    p.status_ = Status::kNcs;
-    p.mode_ = Mode::kRead;
-    p.buffer_.clear();
-    p.pending_ = SimOp{OpKind::kRead};
-    p.has_pending_ = false;
-    p.done_ = false;
-    p.crashed_ = false;
-    p.incarnations_ = 0;
-    p.resume_point_ = {};
-    p.op_results_.clear();
-    p.op_hash_ = Proc::kOpHashBasis;
-    p.fences_total_ = 0;
-    p.passages_done_ = 0;
-    p.cur_ = PassageStats{};
-    p.met_.reset();
-    p.finished_.clear();
+  // restoring_ freezes the incremental fingerprint (rebuilt in one pass at
+  // the end) and turns spawn()/set_recovery() into slot fillers; it must
+  // drop on every exit, a throwing builder included.
+  struct Restoring {
+    bool& flag;
+    explicit Restoring(bool& f) : flag(f) { flag = true; }
+    ~Restoring() { flag = false; }
+  } restoring(restoring_);
+
+  // Keep every frame that has not moved; tear down the rest. The builder
+  // is needed only for an original incarnation that has no spare left, or
+  // on a simulator it never ran on (no variables yet).
+  bool need_build = vars_.empty();
+  respawn_.assign(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Proc& p = *procs_[i];
+    const SimSnapshot::ProcState& ps = snap.procs[i];
+    // Unmoved: same incarnation, flags and op-result stream (a kept frame
+    // that still owes its results owes exactly these).
+    if (p.incarnations_ == ps.incarnations && p.crashed_ == ps.crashed &&
+        p.done_ == ps.done && p.has_pending_ == ps.has_pending &&
+        p.op_results_ == ps.op_results)
+      continue;
+    respawn_[i] = 1;
+    programs_[i] = Task<>();
+    owed_[i] = 0;
+    if (!ps.crashed && ps.incarnations == 0 && !spares_[i].valid())
+      need_build = true;
   }
-  vars_.clear();
-  seq_ = 0;
-  touched_.reset();
-  build(*this);
-  TPA_CHECK(vars_.size() == snap.var_values.size(),
-            "restore: builder allocated " << vars_.size()
-                                          << " vars, snapshot has "
-                                          << snap.var_values.size());
+  if (need_build) {
+    vars_.clear();
+    seq_ = 0;  // the builder may poke() initial values
+    build(*this);
+  }
+  if (vars_.size() != snap.var_values.size()) {
+    std::ostringstream os;
+    os << "restore diverged: the builder allocated " << vars_.size()
+       << " vars, the snapshot has " << snap.var_values.size();
+    throw std::logic_error(os.str());
+  }
+
   for (std::size_t i = 0; i < n; ++i) {
     Proc& p = *procs_[i];
     const SimSnapshot::ProcState& ps = snap.procs[i];
-    if (ps.crashed || ps.incarnations > 0) {
-      // The program the builder spawned belongs to a pre-crash incarnation;
-      // drop it. A currently-crashed process has no live coroutine at all.
-      programs_[i] = Task<>();
+    if (respawn_[i]) {
       p.pending_ = SimOp{OpKind::kRead};
       p.has_pending_ = false;
       p.resume_point_ = {};
       p.done_ = false;
-      if (!ps.crashed) {
-        TPA_CHECK(recovery_[i] != nullptr,
-                  "restore: snapshot has p" << p.id()
-                                            << " recovered, but the builder "
-                                               "registered no recovery");
-        programs_[i] = recovery_[i](p);
-        programs_[i].start();
-        if (!p.has_pending_) p.done_ = true;
+      if (ps.crashed) {
+        // No live coroutine at all until the process recovers.
+        TPA_CHECK(ps.op_results.empty(),
+                  "restore: crashed p" << p.id() << " has recorded op results");
+      } else {
+        Task<>& program = programs_[i];
+        if (ps.incarnations > 0) {
+          if (recovery_[i] == nullptr)
+            restore_diverged(p, "recovered, but the builder registered no "
+                                "recovery section");
+          program = recovery_[i](p);
+        } else {
+          program = std::move(spares_[i]);  // empty: the builder spawns none
+        }
+        if (program.valid()) program.start();
+        if (ps.has_pending && !ps.op_results.empty()) {
+          // Owed: fed at the first resume, or never.
+          if (!p.has_pending_)
+            restore_diverged(p, "ran out of pending ops");
+          owed_[i] = 1;
+        } else {
+          // Nothing to defer: a finished frame is never resumed again.
+          if (!feed(p, ps.op_results))
+            restore_diverged(p, "ran out of pending ops");
+          if (program.valid() && !p.has_pending_) {
+            p.done_ = true;
+            program.rethrow_if_failed();
+          }
+          if (p.done_ != ps.done || p.has_pending_ != ps.has_pending ||
+              (ps.has_pending && !same_op(p.pending_, ps.pending)))
+            restore_diverged(p, "the replayed frame does not match the "
+                                "recorded state");
+        }
       }
-    }
-    if (ps.crashed) {
-      TPA_CHECK(ps.op_results.empty(),
-                "restore: crashed p" << p.id() << " has recorded op results");
-    } else {
-      // Replay the recorded op results into the fresh coroutine; programs
-      // are deterministic functions of these, so this reproduces the
-      // suspension point without touching any machine state.
-      for (const Value r : ps.op_results) {
-        TPA_CHECK(p.has_pending_,
-                  "restore diverged: p" << p.id()
-                                        << " ran out of pending ops");
-        p.pending_.result = r;
-        resume(p);
-      }
-      TPA_CHECK(p.done_ == ps.done && p.has_pending_ == ps.has_pending,
-                "restore diverged for p" << p.id()
-                                         << " after replaying op results");
+      p.op_results_ = ps.op_results;
+      p.op_hash_ = Proc::kOpHashBasis;
+      for (const Value r : ps.op_results)
+        p.op_hash_ = fold_op_result(p.op_hash_, r);
     }
     p.status_ = ps.status;
     p.mode_ = ps.mode;
@@ -1338,10 +1404,6 @@ void Simulator::restore(const SimSnapshot& snap,
     p.done_ = ps.done;
     p.crashed_ = ps.crashed;
     p.incarnations_ = ps.incarnations;
-    p.op_results_ = ps.op_results;
-    p.op_hash_ = Proc::kOpHashBasis;
-    for (const Value r : ps.op_results)
-      p.op_hash_ = fold_op_result(p.op_hash_, r);
     p.fences_total_ = ps.fences_total;
     p.passages_done_ = ps.passages_done;
     p.cur_ = ps.cur;
@@ -1354,9 +1416,8 @@ void Simulator::restore(const SimSnapshot& snap,
   }
   seq_ = snap.seq;
   touched_ = snap.touched;
-  restoring_ = false;
   // Incremental-fingerprint caches were frozen (fp_dirty_* no-ops) during
-  // the rebuild; recompute them from the restored state in one pass.
+  // the restore; recompute them from the restored state in one pass.
   fp_rebuild();
   for (std::size_t i = 0; i < observers_.size(); ++i)
     observers_[i]->restore(snap.observers[i].get());

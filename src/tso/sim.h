@@ -140,10 +140,11 @@ struct Fingerprint {
 
 /// A full checkpoint of the simulator (and its observers) at a quiescent
 /// point between scheduler steps. Move-only; share via shared_ptr when the
-/// same checkpoint seeds several branches. Restoring re-runs the scenario
-/// builder to recreate the process coroutines and fast-forwards them by
-/// feeding back the recorded op results — coroutine frames themselves
-/// cannot be copied.
+/// same checkpoint seeds several branches. Coroutine frames cannot be
+/// copied, so a snapshot records each process' incarnation and op-result
+/// stream instead: restore() keeps a live frame that already sits where
+/// that stream leads, and respawns the others and feeds them the recorded
+/// results (see Simulator::restore).
 struct SimSnapshot {
   struct ProcState {
     Status status = Status::kNcs;
@@ -292,7 +293,9 @@ class Simulator {
   std::uint64_t num_events() const;
 
   /// Machine events this simulator actually executed (monotone; restore()
-  /// executes none — the whole point of checkpointing).
+  /// executes none — the whole point of checkpointing — and neither does
+  /// the fast-forward of a respawned coroutine, which only hands recorded
+  /// results back to the program).
   std::uint64_t events_executed() const { return work_events_; }
 
   /// Additionally count every executed machine event into *sink (explorers
@@ -411,11 +414,35 @@ class Simulator {
 
   /// Reinstates a snapshot taken from a simulator with the same shape: same
   /// process count, same config/observer set, and the same deterministic
-  /// scenario `build` (it is re-run to recreate the coroutines). Works on a
-  /// freshly constructed simulator or in place on any simulator of that
-  /// shape, whatever state it has diverged to since — the explorer's DFS
-  /// keeps one simulator and restores each sibling branch into it. In-place
-  /// restores reuse the process objects and their vector capacity.
+  /// scenario `build`. Works on a freshly constructed simulator or in place
+  /// on any simulator of that shape, whatever state it has diverged to
+  /// since — the explorer's DFS keeps one simulator and restores each
+  /// sibling branch into it. In-place restores reuse the process objects
+  /// and their vector capacity.
+  ///
+  /// Only the coroutines that moved are rebuilt. A process whose
+  /// incarnation, crashed/done/pending flags and op-result stream equal the
+  /// snapshot's keeps its live frame: programs are deterministic functions
+  /// of that stream, so the frame already sits at the snapshot's suspension
+  /// point (contents are compared, not ancestry, so the snapshot need not
+  /// be an ancestor of the current state). Any other process is respawned:
+  /// a recovered incarnation from its recovery section, an original one
+  /// from a spare, unstarted program that an earlier `build` run left
+  /// behind. `build` runs only when such a process has no spare, or on a
+  /// simulator with no variables yet; during a restore spawn() and
+  /// set_recovery() fill empty slots and drop the rest. A respawned frame
+  /// is started but is handed its recorded op results only at its first
+  /// resume — never, if a crash or the next restore comes first.
+  ///
+  /// The builder contract this relies on: host-side state a program writes
+  /// (e.g. a per-process slot cache in the lock object) may be read only by
+  /// the same incarnation of the same process, because frames kept from
+  /// different `build` runs point at different host objects. A builder or
+  /// program that breaks determinism shows up as a respawned frame that
+  /// does not reach the recorded suspension point; that is reported by a
+  /// std::logic_error saying "restore diverged" — deliberately not a
+  /// CheckFailure, so no explorer or fuzzer turns it into a verdict — thrown
+  /// from restore() or from the step that resumes the frame first.
   void restore(const SimSnapshot& snap,
                const std::function<void(Simulator&)>& build);
 
@@ -425,6 +452,15 @@ class Simulator {
 
   void resume(Proc& p);
   void note_new_pending(Proc& p);
+
+  // ---- restore() support (see sim.cpp) ----
+
+  /// Hands `results` to p's frame one by one, without recording them;
+  /// false if the frame stopped asking for ops before the last one.
+  bool feed(Proc& p, const std::vector<Value>& results);
+  /// The owed half of restore(): feeds p's recorded results at its first
+  /// resume and checks the frame reached the pending op the state says.
+  void fast_forward(Proc& p);
 
   // ---- incremental fingerprint maintenance (see sim.cpp) ----
 
@@ -453,6 +489,15 @@ class Simulator {
   SimConfig config_;
   std::vector<std::unique_ptr<Proc>> procs_;
   std::vector<Task<>> programs_;
+  /// Unstarted programs a builder run inside restore() spawned for a
+  /// process whose slot was empty; the next respawn of that process'
+  /// original incarnation starts one instead of re-running the builder.
+  std::vector<Task<>> spares_;
+  /// Per process: the frame was respawned by restore() and still owes the
+  /// results in op_results_; fast_forward() feeds them at its first resume.
+  std::vector<std::uint8_t> owed_;
+  /// Per-process scratch for restore(): the frame must be respawned.
+  std::vector<std::uint8_t> respawn_;
   std::vector<RecoveryFactory> recovery_;
   std::vector<Variable> vars_;
   std::uint64_t seq_ = 0;

@@ -11,7 +11,9 @@
 
 #include <atomic>
 #include <cstddef>
+#include <exception>
 #include <functional>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -39,26 +41,39 @@ class WorkQueue {
 
 /// Runs fn(index) for every index in [0, count) on `threads` threads (the
 /// calling thread counts as one). fn must be safe to invoke concurrently
-/// for distinct indices. Exceptions thrown by fn are not transported —
-/// workers must catch their own (the explorer funnels failures through its
-/// per-item result slots instead).
+/// for distinct indices. Results travel through per-item slots (the
+/// explorer's verdicts do); an exception thrown by fn is an error, not a
+/// result: once one is thrown no worker claims another item, every thread
+/// is joined, and the first exception is rethrown on the calling thread.
 inline void parallel_for_index(std::size_t count, int threads,
                                const std::function<void(std::size_t)>& fn) {
   WorkQueue queue(count);
-  auto worker = [&queue, &fn] {
+  std::atomic<bool> failed{false};
+  std::mutex error_mu;
+  std::exception_ptr error;  // guarded by error_mu
+  auto worker = [&] {
     std::size_t i;
-    while (queue.next(&i)) fn(i);
+    while (!failed.load(std::memory_order_relaxed) && queue.next(&i)) {
+      try {
+        fn(i);
+      } catch (...) {
+        const std::scoped_lock lock(error_mu);
+        if (!error) error = std::current_exception();
+        failed.store(true, std::memory_order_relaxed);
+      }
+    }
   };
   if (threads <= 1 || count <= 1) {
     worker();
-    return;
+  } else {
+    std::vector<std::thread> pool;
+    const int extra = threads - 1;
+    pool.reserve(static_cast<std::size_t>(extra));
+    for (int t = 0; t < extra; ++t) pool.emplace_back(worker);
+    worker();
+    for (auto& th : pool) th.join();
   }
-  std::vector<std::thread> pool;
-  const int extra = threads - 1;
-  pool.reserve(static_cast<std::size_t>(extra));
-  for (int t = 0; t < extra; ++t) pool.emplace_back(worker);
-  worker();
-  for (auto& th : pool) th.join();
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace tpa

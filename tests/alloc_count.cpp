@@ -1,9 +1,11 @@
-// Allocation-count guard for the fuzz and shrink hot paths (ctest label
-// `perf-smoke`). A fuzz pass and a ddmin shrink each run on one simulator
-// restored in place to its root state, so a run or an oracle replay costs a
-// few allocations (the builder's lock object and the coroutine frames), not
-// a simulator's worth. The count is deterministic, so this is a gate on
-// work done, not on a timer.
+// Allocation-count guard for the fuzz, shrink and explorer hot paths (ctest
+// label `perf-smoke`). A fuzz pass and a ddmin shrink each run on one
+// simulator restored in place to its root state, so a run or an oracle
+// replay costs a few allocations (the builder's lock object and the
+// coroutine frames), not a simulator's worth. The explorer restores each
+// sibling branch in place and rebuilds only the coroutines that moved, so a
+// step costs well under one allocation. The count is deterministic, so this
+// is a gate on work done, not on a timer.
 //
 // The binary replaces the global operator new to count allocations, which is
 // why it is a plain main() with no sanitized twin (ASan owns operator new).
@@ -13,6 +15,7 @@
 #include <new>
 
 #include "runtime/scenario.h"
+#include "tso/explorer.h"
 #include "tso/fuzz.h"
 
 namespace {
@@ -41,10 +44,21 @@ namespace {
 // bakery-none-3p replay; the recycled paths take 15.1 and 13.2.
 constexpr double kMaxAllocsPerRun = 20.0;
 constexpr double kMaxAllocsPerReplay = 18.0;
+// Per executed event of a bakery-tso-3p p2 s80 dedup exploration. Rebuilding
+// every coroutine on every restore costs 0.725; keeping the ones that did not
+// move, respawning from spare frames and feeding op results lazily, 0.421.
+constexpr double kMaxAllocsPerStep = 0.55;
+// That scope's exact counts: the allocation ratio is only comparable while
+// the explored tree is the same.
+constexpr std::uint64_t kScopeSchedules = 329;
+constexpr std::uint64_t kScopeTruncated = 11855;
+constexpr std::uint64_t kScopeSteps = 394126;
+constexpr std::uint64_t kScopeSnapshots = 14584;
+constexpr std::uint64_t kScopeRestores = 22526;
 
 bool check(const char* what, double per, double bound) {
   const bool ok = per <= bound;
-  std::printf("%-48s %7.2f allocations (bound %.0f) %s\n", what, per, bound,
+  std::printf("%-48s %7.2f allocations (bound %g) %s\n", what, per, bound,
               ok ? "ok" : "FAIL");
   return ok;
 }
@@ -91,5 +105,31 @@ int main() {
               static_cast<double>(g_allocs - before) /
                   static_cast<double>(shrunk.replays),
               kMaxAllocsPerReplay);
+
+  tpa::tso::ExplorerConfig ecfg;
+  ecfg.preemptions = 2;
+  ecfg.max_steps = 80;
+  ecfg.dedup = tpa::tso::DedupMode::kState;
+  before = g_allocs;
+  const tpa::tso::ExplorerResult proof = safe->explore(ecfg);
+  const std::size_t explore_allocs = g_allocs - before;
+  std::printf("explore bakery-tso-3p p2 s80: %llu schedules, %llu truncated, "
+              "%llu steps, %llu snapshots, %llu restores\n",
+              static_cast<unsigned long long>(proof.schedules),
+              static_cast<unsigned long long>(proof.truncated),
+              static_cast<unsigned long long>(proof.steps),
+              static_cast<unsigned long long>(proof.snapshots),
+              static_cast<unsigned long long>(proof.restores));
+  if (proof.verdict.found() || !proof.exhausted ||
+      proof.schedules != kScopeSchedules || proof.truncated != kScopeTruncated ||
+      proof.steps != kScopeSteps || proof.snapshots != kScopeSnapshots ||
+      proof.restores != kScopeRestores) {
+    std::printf("explore bakery-tso-3p p2 s80: the scope's counts changed\n");
+    return 1;
+  }
+  ok &= check("explore bakery-tso-3p p2 s80 dedup, per step",
+              static_cast<double>(explore_allocs) /
+                  static_cast<double>(proof.steps),
+              kMaxAllocsPerStep);
   return ok ? 0 : 1;
 }

@@ -7,11 +7,15 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
 
+#include "algos/zoo.h"
 #include "runtime/harness.h"
 #include "runtime/locks.h"
 #include "runtime/scenario.h"
@@ -19,6 +23,7 @@
 #include "tso/schedule.h"
 #include "tso/visited.h"
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace tpa {
 namespace {
@@ -447,6 +452,219 @@ TEST(FuzzSmoke, VisitedSetConcurrentInsertsKeepStrongestClaim) {
         << "key " << k << " lost the strongest inserted claim";
     EXPECT_FALSE(set.subsumed({k, hi}, {kThreads, 0, 0}))
         << "key " << k << " reports a claim nobody inserted";
+  }
+}
+
+// ---- differential restore --------------------------------------------------
+
+// restore() keeps the coroutines that did not move since the snapshot,
+// respawns the rest from spare frames, and feeds a respawned frame its op
+// results only at its first resume. A fresh simulator holds no frame to
+// keep, so restoring the same snapshot onto one is the reference: after
+// every step of the same random suffix both must agree on everything a
+// coroutine's position shows up in.
+
+struct RestoreSubject {
+  std::string name;
+  std::size_t n_procs;
+  tso::SimConfig sim;
+  tso::ScenarioBuilder build;
+};
+
+/// Every registry scenario, plus every zoo lock at 2 and 3 processes with
+/// two passages each (so per-process host state such as adaptive-bakery's
+/// slot cache is read again after it was written).
+std::vector<RestoreSubject> restore_subjects() {
+  std::vector<RestoreSubject> out;
+  for (const auto& s : runtime::scenario_registry())
+    out.push_back({s.name, s.n_procs, s.sim, s.build});
+  for (const auto& lock : algos::lock_zoo())
+    for (const int n : {2, 3})
+      out.push_back({lock.name + "-" + std::to_string(n) + "p",
+                     static_cast<std::size_t>(n),
+                     {},
+                     runtime::zoo_scenario(lock.name.c_str(), n, 2)});
+  return out;
+}
+
+/// Everything observable about the machine and each process' coroutine
+/// position, as one comparable line.
+std::string restore_view(const tso::Simulator& sim) {
+  std::ostringstream os;
+  const tso::Fingerprint fp = sim.fingerprint();
+  const tso::Fingerprint oracle = sim.fingerprint_oracle();
+  os << std::hex << fp.lo << ':' << fp.hi << " oracle " << oracle.lo << ':'
+     << oracle.hi << std::dec;
+  for (std::size_t i = 0; i < sim.num_procs(); ++i) {
+    const tso::Proc& p = sim.proc(static_cast<tso::ProcId>(i));
+    os << " | p" << i << ' ' << std::hex << p.op_history_hash() << std::dec
+       << ' ' << tso::to_string(p.status()) << ' ' << tso::to_string(p.mode())
+       << (p.done() ? " done" : "") << (p.crashed() ? " crashed" : "")
+       << " inc" << p.incarnations();
+    if (p.has_pending())
+      os << " pending " << tso::to_string(p.pending().kind) << " v"
+         << p.pending().var << '=' << p.pending().value << '/'
+         << p.pending().expected;
+  }
+  return os.str();
+}
+
+/// A random move the simulator accepts: deliver, commit (any buffered
+/// variable under PSO), recover, or — one time in `crash_one_in` — crash.
+/// kNoProc in `proc` when no process can act.
+tso::Directive random_move(const tso::Simulator& sim, Rng& rng,
+                           std::uint64_t crash_one_in) {
+  const auto n = static_cast<tso::ProcId>(sim.num_procs());
+  if (crash_one_in != 0 && rng.below(crash_one_in) == 0) {
+    const auto p = static_cast<tso::ProcId>(rng.below(sim.num_procs()));
+    if (sim.can_crash(p)) return {tso::ActionKind::kCrash, p};
+  }
+  std::vector<tso::Directive> moves;
+  for (tso::ProcId p = 0; p < n; ++p) {
+    const tso::Proc& proc = sim.proc(p);
+    if (proc.crashed()) {
+      if (sim.has_recovery(p)) moves.push_back({tso::ActionKind::kRecover, p});
+      continue;
+    }
+    if (!proc.done() && proc.has_pending())
+      moves.push_back({tso::ActionKind::kDeliver, p});
+    if (!proc.buffer().empty()) {
+      const auto k = sim.config().pso ? rng.below(proc.buffer().size()) : 0;
+      moves.push_back({tso::ActionKind::kCommit, p, proc.buffer()[k].var});
+    }
+  }
+  if (moves.empty()) return {tso::ActionKind::kDeliver, tso::kNoProc};
+  return moves[rng.below(moves.size())];
+}
+
+/// Applies d; "" on success, the raised message otherwise.
+std::string apply_caught(tso::Simulator& sim, const tso::Directive& d) {
+  try {
+    return sim.apply(d) ? "" : "refused";
+  } catch (const CheckFailure& e) {
+    return e.what();
+  }
+}
+
+/// Runs up to `steps` random moves on both simulators (chosen on `a`),
+/// comparing them after each. Stops at the first raise, which must be the
+/// same on both. Every step may add a's state to `pool`.
+void run_both(tso::Simulator& a, tso::Simulator& b, Rng& rng, int steps,
+              std::vector<std::shared_ptr<const tso::SimSnapshot>>* pool,
+              const std::string& what) {
+  for (int k = 0; k < steps; ++k) {
+    const tso::Directive d = random_move(a, rng, 24);
+    if (d.proc == tso::kNoProc) return;
+    const std::string ra = apply_caught(a, d);
+    const std::string rb = apply_caught(b, d);
+    ASSERT_EQ(ra, rb) << what << " step " << k;
+    if (!ra.empty()) return;  // a raise leaves the step half applied
+    ASSERT_EQ(restore_view(a), restore_view(b)) << what << " step " << k;
+    if (pool != nullptr && rng.below(6) == 0) {
+      if (pool->size() < 48)
+        pool->push_back(std::make_shared<const tso::SimSnapshot>(a.snapshot()));
+      else
+        (*pool)[rng.below(pool->size())] =
+            std::make_shared<const tso::SimSnapshot>(a.snapshot());
+    }
+  }
+}
+
+// Seeded walks with crash and recovery over every registry scenario and the
+// zoo locks. Snapshots are pooled from every walk, so a restore in place
+// often lands on a state that is not an ancestor of the current one.
+TEST(FuzzSmoke, InPlaceRestoreMatchesFreshRestoreOnEveryScenario) {
+  for (const RestoreSubject& s : restore_subjects()) {
+    Rng rng(0x7e57ULL + std::hash<std::string>{}(s.name) % 1000);
+    tso::Simulator live(s.n_procs, s.sim);
+    s.build(live);
+    std::vector<std::shared_ptr<const tso::SimSnapshot>> pool{
+        std::make_shared<const tso::SimSnapshot>(live.snapshot())};
+    for (int trial = 0; trial < 40; ++trial) {
+      const std::string what = s.name + " trial " + std::to_string(trial);
+      const tso::SimSnapshot& snap = *pool[rng.below(pool.size())];
+      live.restore(snap, s.build);
+      tso::Simulator fresh(s.n_procs, s.sim);
+      fresh.restore(snap, s.build);
+      ASSERT_EQ(restore_view(live), restore_view(fresh)) << what;
+      run_both(live, fresh, rng, 1 + static_cast<int>(rng.below(40)), &pool,
+               what);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+// The corner cases of the lazy fast-forward, each taken on purpose: a
+// process that owes its op results crashes before its first resume; a
+// snapshot is taken while a process owes them; and a snapshot in which no
+// process has a live coroutine is restored onto a fresh simulator, where
+// the builder must still run for the variables and recovery sections.
+TEST(FuzzSmoke, RestoreCornerCasesMatchFreshRestore) {
+  for (const char* name : {"recoverable-2p", "bakery-tso-3p"}) {
+    const auto* s = runtime::find_scenario(name);
+    ASSERT_NE(s, nullptr) << name;
+    Rng rng(11);
+    tso::Simulator live(s->n_procs, s->sim);
+    s->build(live);
+    for (int k = 0; k < 3; ++k) ASSERT_TRUE(live.deliver(0));
+    const tso::SimSnapshot mid = live.snapshot();
+    ASSERT_TRUE(live.deliver(0));  // p0 moves past the snapshot
+
+    // p0 is respawned and owes its results; it crashes before it resumes.
+    live.restore(mid, s->build);
+    tso::Simulator fresh(s->n_procs, s->sim);
+    fresh.restore(mid, s->build);
+    ASSERT_TRUE(live.crash(0) && fresh.crash(0)) << name;
+    ASSERT_EQ(restore_view(live), restore_view(fresh)) << name;
+    run_both(live, fresh, rng, 60, nullptr,
+             std::string(name) + " after an owed crash");
+
+    // A snapshot taken while p0 owes its results, restored after only p1
+    // moved (p0 kept, still owing) and after p0 moved too.
+    for (const bool move_p0 : {false, true}) {
+      live.restore(mid, s->build);
+      const tso::SimSnapshot owed = live.snapshot();
+      ASSERT_TRUE(live.deliver(1)) << name;
+      if (move_p0) {
+        ASSERT_TRUE(live.deliver(0));
+      }
+      live.restore(owed, s->build);
+      tso::Simulator ref(s->n_procs, s->sim);
+      ref.restore(owed, s->build);
+      ASSERT_EQ(restore_view(live), restore_view(ref)) << name;
+      run_both(live, ref, rng, 60, nullptr,
+               std::string(name) + " from a snapshot taken while owed");
+    }
+  }
+
+  // Every process crashed (recoverable-2p) or never spawned.
+  auto spawn_p0_only = [](tso::Simulator& sim) {
+    const tso::VarId x = sim.alloc_var(0);
+    sim.spawn(0, read_n(sim.proc(0), x, 3));
+    sim.set_recovery(0, [x](tso::Proc& p) { return read_n(p, x, 2); });
+  };
+  const auto* rec = runtime::find_scenario("recoverable-2p");
+  ASSERT_NE(rec, nullptr);
+  const RestoreSubject idle[] = {
+      {"recoverable-2p", rec->n_procs, rec->sim, rec->build},
+      {"p1 never spawned", 2, {}, spawn_p0_only},
+  };
+  for (const RestoreSubject& s : idle) {
+    Rng rng(12);
+    tso::Simulator live(s.n_procs, s.sim);
+    s.build(live);
+    ASSERT_TRUE(live.deliver(0));
+    for (std::size_t i = 0; i < s.n_procs; ++i)
+      if (live.can_crash(static_cast<tso::ProcId>(i))) {
+        ASSERT_TRUE(live.crash(static_cast<tso::ProcId>(i)));
+      }
+    const tso::SimSnapshot none_live = live.snapshot();
+    tso::Simulator fresh(s.n_procs, s.sim);
+    fresh.restore(none_live, s.build);
+    EXPECT_EQ(fresh.num_vars(), live.num_vars()) << s.name;
+    ASSERT_EQ(restore_view(live), restore_view(fresh)) << s.name;
+    ASSERT_TRUE(fresh.has_recovery(0)) << s.name;
+    run_both(live, fresh, rng, 80, nullptr, s.name + ", nothing live");
   }
 }
 

@@ -6,7 +6,11 @@
 // cut schedules without changing any verdict.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "runtime/scenario.h"
@@ -15,6 +19,7 @@
 #include "tso/schedule.h"
 #include "tso/sim.h"
 #include "util/check.h"
+#include "util/work_queue.h"
 
 namespace tpa {
 namespace {
@@ -28,6 +33,29 @@ struct Case {
   const char* scenario;
   int preemptions;
 };
+
+// An exception from one work item stops the others from claiming more,
+// every thread is joined, and the caller gets the exception — also when it
+// was thrown on a pool thread rather than the calling one.
+TEST(ExplorerParallel, WorkQueueHandsAnItemsExceptionToTheCaller) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const int threads : {1, 4}) {
+    std::atomic<int> ran{0};
+    EXPECT_THROW(parallel_for_index(
+                     200, threads,
+                     [&](std::size_t i) {
+                       ++ran;
+                       const bool pool_thread =
+                           std::this_thread::get_id() != caller;
+                       if (threads == 1 ? i == 3 : pool_thread)
+                         throw std::runtime_error("item failed");
+                       std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                     }),
+                 std::runtime_error)
+        << threads << " threads";
+    EXPECT_LT(ran.load(), 200) << threads << " threads";
+  }
+}
 
 TEST(ExplorerParallel, CountsMatchSequentialOnSafeScenarios) {
   const Case cases[] = {

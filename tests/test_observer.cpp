@@ -7,14 +7,17 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "runtime/scenario.h"
 #include "trace/format.h"
 #include "tso/explorer.h"
+#include "tso/fuzz.h"
 #include "tso/observers.h"
 #include "tso/schedulers.h"
 #include "tso/sim.h"
@@ -344,6 +347,71 @@ TEST(Snapshot, ForeignObserverSnapshotIsRejected) {
   const SimSnapshot snap = a.snapshot();
   EXPECT_THROW(b.restore(snap, [](Simulator&) {}), CheckFailure)
       << "observer sets differ";
+}
+
+// ---- non-deterministic builders -------------------------------------------
+
+tso::Task<> read_times(tso::Proc& p, tso::VarId x, int n) {
+  for (int i = 0; i < n; ++i) co_await p.read(x);
+}
+
+/// A builder that breaks the determinism contract: every second invocation
+/// gives p0 a program of `short_reads` reads instead of four.
+tso::ScenarioBuilder flaky_builder(int short_reads) {
+  auto calls = std::make_shared<int>(0);
+  return [calls, short_reads](Simulator& sim) {
+    const tso::VarId x = sim.alloc_var(0);
+    const bool odd = (*calls)++ % 2 == 1;
+    sim.spawn(0, read_times(sim.proc(0), x, odd ? short_reads : 4));
+    sim.spawn(1, read_times(sim.proc(1), x, 4));
+  };
+}
+
+/// `run` must end in a "restore diverged" error — never return, so never
+/// report a verdict or a clean pass.
+void expect_divergence_error(const std::function<void()>& run,
+                             const std::string& what) {
+  try {
+    run();
+    ADD_FAILURE() << what << ": returned instead of throwing";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("restore diverged"),
+              std::string::npos)
+        << what << ": " << e.what();
+  }
+}
+
+// A respawned coroutine that does not reach the recorded suspension point
+// is a broken builder, not a property of the lock: neither the explorer nor
+// the fuzzer may turn it into a verdict. With short_reads = 1 the respawned
+// p0 still parks on the recorded first op, so the mismatch only surfaces
+// when its owed op results are fed, inside the explorer's step.
+TEST(Snapshot, NonDeterministicBuilderIsAnErrorNotAVerdict) {
+  for (const int short_reads : {0, 1}) {
+    tso::ExplorerConfig cfg;
+    cfg.preemptions = 2;
+    expect_divergence_error(
+        [&] { (void)tso::explore(2, {}, flaky_builder(short_reads), cfg); },
+        "explore, short_reads=" + std::to_string(short_reads));
+  }
+  tso::FuzzConfig fcfg;
+  fcfg.seed = 1;
+  fcfg.runs = 10;
+  expect_divergence_error(
+      [&] { (void)tso::fuzz(2, {}, flaky_builder(0), fcfg); }, "fuzz");
+}
+
+// The same error raised on a parallel explorer's worker thread reaches the
+// caller too, instead of escaping the thread.
+TEST(Snapshot, NonDeterministicBuilderIsAnErrorOnWorkerThreads) {
+  for (const int short_reads : {0, 1}) {
+    tso::ExplorerConfig cfg;
+    cfg.preemptions = 2;
+    cfg.threads = 2;
+    expect_divergence_error(
+        [&] { (void)tso::explore(2, {}, flaky_builder(short_reads), cfg); },
+        "parallel explore, short_reads=" + std::to_string(short_reads));
+  }
 }
 
 // ---- JSONL trace sink ----------------------------------------------------
