@@ -14,11 +14,10 @@
 // is identical across thread counts whenever the run is exhausted rather
 // than budget-capped.
 //
-// BM_SleepSets measures what the partial-order reduction buys on the same
-// scenario: fewer schedules per exhausted bound, at the price of per-step
-// signature bookkeeping. BM_StateDedup does the same for visited-set pruning
-// (DedupMode::kState) and its symmetry-canonicalized variant on the
-// interchangeable-process ticket lock. BM_FuzzThroughput tracks the
+// BM_StateDedup measures what visited-set pruning (DedupMode::kState) and
+// its symmetry-canonicalized variant buy on the interchangeable-process
+// ticket lock: fewer schedules per exhausted bound, at the price of
+// fingerprint upkeep and visited-set probes. BM_FuzzThroughput tracks the
 // randomized pipeline (runs/s on a safe lock, i.e. no early exit).
 //
 // Before the google-benchmark suite runs, main() measures two head-to-head
@@ -71,23 +70,6 @@ void BM_ParallelExplore(benchmark::State& state) {
   // count the same amount of work to chew through.
   cfg.max_schedules = 100'000;
   cfg.threads = static_cast<int>(state.range(0));
-  std::uint64_t schedules = 0;
-  for (auto _ : state) {
-    const auto r = s.explore(cfg);
-    benchmark::DoNotOptimize(r.verdict.found());
-    schedules += r.schedules + r.truncated;
-  }
-  state.counters["schedules/s"] = benchmark::Counter(
-      static_cast<double>(schedules), benchmark::Counter::kIsRate);
-}
-
-void BM_SleepSets(benchmark::State& state) {
-  const auto& s = scenario("bakery-tso-3p");
-  tso::ExplorerConfig cfg;
-  cfg.preemptions = 2;
-  cfg.max_schedules = 20'000;
-  cfg.sleep_sets = state.range(0) != 0;
-  state.SetLabel(cfg.sleep_sets ? "sleep-sets" : "plain");
   std::uint64_t schedules = 0;
   for (auto _ : state) {
     const auto r = s.explore(cfg);
@@ -437,11 +419,6 @@ BENCHMARK(BM_ParallelExplore)
     ->Arg(2)
     ->Arg(4)
     ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SleepSets)
-    ->ArgName("sleep")
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StateDedup)
     ->ArgName("dedup")

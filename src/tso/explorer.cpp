@@ -127,38 +127,6 @@ struct Shared {
   }
 };
 
-// ---- sleep-set pruning ---------------------------------------------------
-
-/// What a process' next scheduler step would do, abstracted to the level the
-/// independence relation needs. Stable while the process does not step.
-struct ActionSig {
-  enum Kind : std::uint8_t {
-    kIssue,   ///< write issue: touches only the process' own buffer
-    kCommit,  ///< write commit of `var` (explicit, or mid-fence deliver)
-    kOther    ///< reads, fences, CAS, transitions — treated as dependent
-  };
-  Kind kind = kOther;
-  VarId var = kNoVar;
-};
-
-/// Conservative independence: a write issue is purely process-local (the
-/// issued value is fixed, the awareness snapshot only depends on the
-/// issuer's own past reads), so it commutes with any step of another
-/// process; commits by different processes to *different* variables commute
-/// because every effect of a commit (value, last_writer, awareness, cache
-/// directories, RMR flags) is per-variable. Everything else is dependent.
-bool independent(const ActionSig& a, const ActionSig& b) {
-  if (a.kind == ActionSig::kIssue || b.kind == ActionSig::kIssue) return true;
-  return a.kind == ActionSig::kCommit && b.kind == ActionSig::kCommit &&
-         a.var != b.var;
-}
-
-struct SleepEntry {
-  ProcId proc;
-  ActionSig sig;
-};
-using SleepSet = std::vector<SleepEntry>;
-
 /// The directive one scheduler step for p resolves to: delivering its next
 /// program event if it has one, otherwise a head commit draining its buffer.
 /// Exactly the step the old deliver-then-commit probing applied, but named
@@ -168,25 +136,6 @@ Directive make_directive(const Simulator& sim, ProcId p) {
   if (proc.crashed()) return {ActionKind::kRecover, p};
   if (!proc.done() && proc.has_pending()) return {ActionKind::kDeliver, p};
   return {ActionKind::kCommit, p, kNoVar};
-}
-
-ActionSig action_sig(const Simulator& sim, ProcId p) {
-  const Proc& proc = sim.proc(p);
-  if (!proc.done() && proc.has_pending()) {
-    switch (sim.classify_pending(p)) {
-      case PendingClass::kWriteIssue:
-        return {ActionSig::kIssue, proc.pending().var};
-      case PendingClass::kCommitNonCritical:
-      case PendingClass::kCommitCritical:
-        // Mid-fence deliver commits the buffer head.
-        return {ActionSig::kCommit, proc.buffer().front().var};
-      default:
-        return {ActionSig::kOther, kNoVar};
-    }
-  }
-  if (!proc.buffer().empty())  // drain commit of a finished program
-    return {ActionSig::kCommit, proc.buffer().front().var};
-  return {ActionSig::kOther, kNoVar};
 }
 
 // ---- child enumeration (shared by the DFS, checkpoints and the pre-pass) --
@@ -242,33 +191,6 @@ void enumerate_children(const Simulator& sim, std::size_t n, ProcId current,
       if (sim.can_crash(static_cast<ProcId>(p)))
         out.list.push_back(Child{{ActionKind::kCrash, static_cast<ProcId>(p)},
                                  current, preemptions, crashes_left - 1});
-}
-
-/// Signatures of a node's scheduling children, taken at the node's state
-/// before any child moves the simulator on; sleeping processes have not
-/// stepped since their entry was recorded, so stored signatures stay valid.
-void child_signatures(const Simulator& sim, const Children& kids,
-                      std::vector<ActionSig>& sigs) {
-  sigs.clear();
-  for (const Child& ch : kids.list)
-    if (ch.d.kind != ActionKind::kCrash)
-      sigs.push_back(action_sig(sim, ch.d.proc));
-}
-
-/// The sleep set child `i` enters with, from the node's running set
-/// `sleep`; false if the child is asleep — equivalent to an explored
-/// schedule where its process moves later — and is pruned. Crash children
-/// are dependent with everything (memory and buffers change wholesale), so
-/// they are never pruned and start with an empty set.
-bool wake(const SleepSet& sleep, const Child& ch,
-          const std::vector<ActionSig>& sigs, std::size_t i,
-          SleepSet& child_sleep) {
-  if (ch.d.kind == ActionKind::kCrash) return true;
-  for (const SleepEntry& e : sleep)
-    if (e.proc == ch.d.proc) return false;
-  for (const SleepEntry& e : sleep)
-    if (independent(e.sig, sigs[i])) child_sleep.push_back(e);
-  return true;
 }
 
 // ---- durable campaign checkpointing --------------------------------------
@@ -370,10 +292,9 @@ class Dfs {
   /// directive is not applied yet: the parent state is restored from
   /// `parent` when given and otherwise replayed from the root, and the
   /// directive applies here, inside the violation catch, so a violating
-  /// step is recorded (and claimed) at this node's frontier index. `sleep`
-  /// is the sleep set the node enters with.
+  /// step is recorded (and claimed) at this node's frontier index.
   void run_from(const trace::CampaignNode& node,
-                const SimSnapshot* parent = nullptr, SleepSet sleep = {}) {
+                const SimSnapshot* parent = nullptr) {
     dirs_ = node.dirs;
     last_sched_.assign(n_, 0);
     for (std::size_t k = 0; k < dirs_.size(); ++k)
@@ -400,7 +321,7 @@ class Dfs {
       return;
     }
     if (liveness_ && !dirs_.empty()) seed_onstack();
-    dfs(node.current, node.preemptions, node.crashes_left, std::move(sleep));
+    dfs(node.current, node.preemptions, node.crashes_left);
   }
 
   ExplorerResult take_result() { return std::move(result_); }
@@ -691,7 +612,7 @@ class Dfs {
   /// The subtree is explored on the Dfs' one simulator, `sim_`, which must
   /// hold this node's state on entry and is left wherever the last explored
   /// leaf put it; each sibling after the first rewinds it in place.
-  bool dfs(ProcId current, int preemptions, int crashes_left, SleepSet sleep) {
+  bool dfs(ProcId current, int preemptions, int crashes_left) {
     if (stop()) {
       maybe_suspend(/*include_current=*/true, current, preemptions,
                     crashes_left);
@@ -911,9 +832,6 @@ class Dfs {
       return true;
     }
 
-    std::vector<ActionSig> sigs;
-    if (cfg_.sleep_sets) child_signatures(*sim_, kids, sigs);
-
     // Branch point: checkpoint once, then every sibling after the first
     // restores from here instead of replaying `dirs_` from the root.
     PooledSnapshot snap;
@@ -938,8 +856,6 @@ class Dfs {
       }
       if (camp_ != nullptr) levels_[open_levels_ - 1].next = i + 1;
       const Child& ch = kids.list[i];
-      SleepSet child_sleep;
-      if (cfg_.sleep_sets && !wake(sleep, ch, sigs, i, child_sleep)) continue;
       if (moved_on) {
         // In place from the branch point's snapshot: no events
         // re-executed, no allocation.
@@ -958,8 +874,8 @@ class Dfs {
       const ProcId p = ch.d.proc;
       const std::size_t prev_sched = last_sched_[p];
       last_sched_[p] = dirs_.size();
-      const bool child_complete = dfs(ch.current, ch.preemptions,
-                                      ch.crashes_left, std::move(child_sleep));
+      const bool child_complete =
+          dfs(ch.current, ch.preemptions, ch.crashes_left);
       dirs_.pop_back();
       last_sched_[p] = prev_sched;
       moved_on = true;
@@ -967,8 +883,6 @@ class Dfs {
       // budget, deadline, beaten) ended it mid-subtree: this subtree is not
       // fully explored either, so it must never enter the visited set.
       if (!child_complete) return false;
-      if (cfg_.sleep_sets && ch.d.kind != ActionKind::kCrash)
-        sleep.push_back({p, sigs[i]});
     }
 
     if (camp_ != nullptr) --open_levels_;
@@ -1058,11 +972,10 @@ ExplorerResult drain(std::size_t n_procs, const SimConfig& eff,
 
 /// A parallel-mode frontier node: the subtree root, plus what a campaign
 /// file cannot hold — the parent state's in-memory snapshot, shared by the
-/// siblings, and the sleep set the node enters with.
+/// siblings.
 struct Seed {
   trace::CampaignNode node;
   std::shared_ptr<const SimSnapshot> parent;
-  SleepSet sleep;
   bool whole = false;  ///< not expandable: left for a worker as it is
 };
 
@@ -1082,12 +995,11 @@ std::vector<Seed> split_frontier(std::size_t n_procs, const SimConfig& eff,
                                  ExplorerResult& stats) {
   std::list<Seed> nodes;
   nodes.push_back(
-      Seed{{kNoProc, cfg.preemptions, cfg.max_crashes, {}}, nullptr, {}});
+      Seed{{kNoProc, cfg.preemptions, cfg.max_crashes, {}}, nullptr});
   Simulator sim(n_procs, eff);
   std::uint64_t events = 0;
   sim.count_events_into(&events);
   Children kids;
-  std::vector<ActionSig> sigs;
   // Each expansion costs one restore, one step and one snapshot; the cap
   // only guards against degenerate chains (branching 1) eating the pre-pass.
   const std::size_t max_expansions = target * 64 + 256;
@@ -1119,18 +1031,11 @@ std::vector<Seed> split_frontier(std::size_t n_procs, const SimConfig& eff,
     stats.steps += events;
     const auto snap = std::make_shared<const SimSnapshot>(sim.snapshot());
     stats.snapshots++;
-    if (cfg.sleep_sets) child_signatures(sim, kids, sigs);
-    SleepSet sleep = it->sleep;
-    for (std::size_t i = 0; i < kids.list.size(); ++i) {
-      const Child& ch = kids.list[i];
-      SleepSet child_sleep;
-      if (cfg.sleep_sets && !wake(sleep, ch, sigs, i, child_sleep)) continue;
+    for (const Child& ch : kids.list) {
       Seed child{{ch.current, ch.preemptions, ch.crashes_left, node.dirs},
-                 snap, std::move(child_sleep)};
+                 snap};
       child.node.dirs.push_back(ch.d);
       nodes.insert(it, std::move(child));
-      if (cfg.sleep_sets && ch.d.kind != ActionKind::kCrash)
-        sleep.push_back({ch.d.proc, sigs[i]});
     }
     nodes.erase(it);
   }
@@ -1150,8 +1055,7 @@ ExplorerResult explore_parallel(std::size_t n_procs, const SimConfig& eff,
   parallel_for_index(frontier.size(), config.threads, [&](std::size_t i) {
     if (shared->beaten(i)) return;  // a smaller index already won
     Dfs dfs(n_procs, eff, build, config, shared, i);
-    dfs.run_from(frontier[i].node, frontier[i].parent.get(),
-                 frontier[i].sleep);
+    dfs.run_from(frontier[i].node, frontier[i].parent.get());
     sub[i] = dfs.take_result();
   });
   for (const ExplorerResult& r : sub) result.merge(r);
@@ -1238,12 +1142,6 @@ ExplorerResult explore_impl(std::size_t n_procs, SimConfig sim_config,
     TPA_CHECK(!config.on_complete,
               "dedup: on_complete hooks may inspect observer/trace state "
               "outside the fingerprint — combine is rejected as unsound");
-    // A sleep set is path context (which siblings were already explored),
-    // not machine state; merging states with different sleep sets could
-    // prune schedules the earlier visit never covered.
-    TPA_CHECK(!config.sleep_sets,
-              "dedup: sleep sets are path context outside the fingerprint — "
-              "combine is rejected as unsound");
   }
   if (config.symmetric_processes == SymmetryMode::kCanonical) {
     TPA_CHECK(config.dedup == DedupMode::kState,
@@ -1279,13 +1177,6 @@ ExplorerResult explore_impl(std::size_t n_procs, SimConfig sim_config,
     TPA_CHECK(!config.on_complete,
               "campaign: on_complete hooks are process-local state a resume "
               "cannot reinstate — combine is rejected");
-    // A sleep set is path context that keeps *growing* after a frontier
-    // node is serialized; a resumed node would miss the later entries and
-    // explore schedules the uninterrupted run pruned, breaking count
-    // parity. Rejected rather than silently inexact.
-    TPA_CHECK(!config.sleep_sets,
-              "campaign: sleep sets are path context accumulated after a "
-              "frontier node is serialized — combine is rejected");
   }
 
   Shared shared(config.max_schedules, config.time_budget_ms);
@@ -1406,7 +1297,6 @@ ExplorerResult resume(const std::string& campaign_path, std::size_t n_procs,
   cfg.max_crashes = c.max_crashes;
   cfg.time_budget_ms = options.time_budget_ms;
   cfg.threads = 1;
-  cfg.sleep_sets = false;
   cfg.shrink = c.shrink;
   cfg.dedup = c.dedup;
   cfg.symmetric_processes = c.symmetry;

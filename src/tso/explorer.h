@@ -4,10 +4,13 @@
 // preemptive context switches: at each step the currently scheduled process
 // takes its next event; buffered writes commit only through fences (and a
 // final drain once the program ends) — the scheduling adversary the paper's
-// construction also uses, which is the hostile regime for store-buffer
-// bugs. Within this bound the exploration is exhaustive, so it can *prove*
-// mutual exclusion for small scopes and *find* concrete violating schedules
-// otherwise.
+// construction also uses. That is a subset of TSO, not a superset of it or
+// even of SC: a schedule in which a write reaches memory early, before its
+// writer's next fence, is never explored, so an outcome that needs one is
+// missed (Explorer.MaximalDelayMissesAnEarlyCommitOutcome pins such a gap).
+// Within that subset and the bound the exploration is exhaustive, so it can
+// *prove* mutual exclusion over the maximal-delay schedules of small scopes
+// and *find* concrete violating schedules otherwise.
 //
 // The canonical customer: BakeryFencing::kNone (the fence-free bakery).
 // The paper's premise — "the use of fences was shown to be unavoidable for
@@ -124,18 +127,6 @@ struct ExplorerConfig {
   /// Builders must be safe to invoke concurrently on distinct simulators.
   int threads = 1;
 
-  /// Sleep-set pruning (Godefroid-style partial-order reduction, with a
-  /// last-writer independence relation): skips interleavings that only
-  /// reorder commutative steps — write issues (purely process-local) against
-  /// anything, and commits by different processes to different variables.
-  /// Cuts the explored schedule count, so it is off by default where count
-  /// parity with the plain bound matters; combined with the preemption
-  /// bound it is a heuristic (the bound already makes exploration
-  /// incomplete), but every schedule it skips is equivalent to an explored
-  /// one, so violations within the bound are preserved in practice
-  /// (tests/test_explorer_parallel.cpp checks this on the zoo).
-  bool sleep_sets = false;
-
   /// Delta-debug any violation witness to a locally minimal, still-violating
   /// directive sequence before returning it (see tso/fuzz.h). The shrunk
   /// witness replays deterministically via tso::replay just like the raw
@@ -144,9 +135,8 @@ struct ExplorerConfig {
 
   /// Visited-state pruning (see DedupMode). Off by default: verdicts and
   /// witnesses are unchanged when on, but counts shrink. Rejected (via
-  /// check.h) in combination with on_complete hooks — a hook may inspect
-  /// observer or trace state the fingerprint deliberately ignores — and with
-  /// sleep_sets, whose sleep set is path context outside the fingerprint.
+  /// check.h) in combination with on_complete hooks: a hook may inspect
+  /// observer or trace state the fingerprint deliberately ignores.
   DedupMode dedup = DedupMode::kOff;
 
   /// Canonicalize fingerprints under process renaming (see SymmetryMode).
@@ -179,8 +169,7 @@ struct ExplorerConfig {
   /// uninterrupted run's verdict, witness, and (dedup off) exact
   /// schedule/truncated counts. Sequential only (threads == 1); rejected in
   /// combination with on_complete hooks (process-local state a resume could
-  /// not reinstate) and sleep_sets (path context whose later entries a
-  /// materialized frontier node would miss). See docs/ROBUSTNESS.md.
+  /// not reinstate). See docs/ROBUSTNESS.md.
   std::string campaign_path;
 
   /// Minimum milliseconds between periodic campaign checkpoints. The

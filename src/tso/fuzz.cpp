@@ -182,10 +182,15 @@ void continue_random(Simulator& sim, Rng& rng, double commit_prob,
   }
 }
 
-/// Per-run commit probability: half the runs use the configured base, the
-/// rest sweep the whole [0,1) delay spectrum.
-double pick_commit_prob(Rng& rng, double base) {
-  return rng.chance(0.5) ? base : rng.uniform();
+/// Base probability of committing a buffered write per step.
+constexpr double kBaseCommitProb = 0.3;
+/// Completed schedules the mutation corpus retains (a ring).
+constexpr std::size_t kCorpusSize = 16;
+
+/// Per-run commit probability: half the runs use kBaseCommitProb, the rest
+/// sweep the whole [0,1) delay spectrum.
+double pick_commit_prob(Rng& rng) {
+  return rng.chance(0.5) ? kBaseCommitProb : rng.uniform();
 }
 
 /// The body of replay_lasso, onto `sim` at its initial state: `*r` is
@@ -446,11 +451,9 @@ FuzzResult fuzz(std::size_t n_procs, SimConfig sim_config,
 
     if (run > 0) sim.restore(root, build);
     out.clear();
-    const double commit_prob = pick_commit_prob(rng, config.commit_prob);
+    const double commit_prob = pick_commit_prob(rng);
 
-    const bool mutate =
-        config.mutate && !corpus.empty() && rng.chance(0.75);
-    if (mutate) {
+    if (!corpus.empty() && rng.chance(0.75)) {
       std::vector<Directive>& seed_schedule = out.seed_schedule;
       seed_schedule = corpus[rng.below(corpus.size())];
       const auto is_crash = [](const Directive& d) {
@@ -546,11 +549,11 @@ FuzzResult fuzz(std::size_t n_procs, SimConfig sim_config,
       return result;
     }
     // Copy, not move: the entry's and the schedule's capacity both survive.
-    if (out.complete && !out.schedule.empty() && config.corpus_size > 0) {
-      if (corpus.size() < config.corpus_size)
+    if (out.complete && !out.schedule.empty()) {
+      if (corpus.size() < kCorpusSize)
         corpus.push_back(out.schedule);
       else
-        corpus[run % config.corpus_size] = out.schedule;
+        corpus[run % kCorpusSize] = out.schedule;
     }
   }
   return result;

@@ -111,12 +111,7 @@ struct FuzzConfig {
   std::uint64_t seed = 0x5eedULL;
   std::uint64_t runs = 1'000;       ///< fuzz iterations (upper bound)
   std::uint64_t max_steps = 4'000;  ///< per-run scheduler step cap
-  /// Base probability of committing a buffered write per step; individual
-  /// runs re-randomize it to sweep delay regimes.
-  double commit_prob = 0.3;
-  bool mutate = true;           ///< corpus-guided mutation on/off
-  bool shrink = true;           ///< shrink the first violating witness
-  std::size_t corpus_size = 16; ///< retained completed schedules
+  bool shrink = true;               ///< shrink the first violating witness
   /// Per-step probability of injecting a process crash (the RME fault
   /// model; see SimConfig::crash_model for what happens to the buffer).
   /// 0 disables fault injection — and is guarded before any randomness is

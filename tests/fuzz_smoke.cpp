@@ -5,8 +5,11 @@
 // immediately reproducible.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <memory>
 #include <sstream>
@@ -313,6 +316,61 @@ TEST(FuzzSmoke, ParallelRawWitnessMatchesSequential) {
           << c.name << " dir " << i;
     }
   }
+}
+
+// The explorer's configuration matrix: every combination of six axes —
+// dedup, symmetry, liveness, two threads, a campaign file and an
+// on_complete hook — on a symmetric two-process lock. explore() must
+// reject exactly the six combinations it cannot serve soundly and run
+// every other one to the clean, exhausted verdict; wherever dedup is off,
+// nothing prunes, so the counts must be the raw run's. Under the sanitize
+// label this is the ASan+UBSan pass over every accepted pairing of modes.
+TEST(FuzzSmoke, ExplorerConfigMatrixRejectsExactlySixRules) {
+  const auto* s = runtime::find_scenario("tas-2p");
+  ASSERT_NE(s, nullptr);
+  ASSERT_TRUE(s->symmetric);
+  // Per process, so the plain and the sanitized binary never share a file.
+  const std::string campaign = ::testing::TempDir() + "tpa_config_matrix_" +
+                               std::to_string(::getpid()) + ".tpc";
+  tso::ExplorerConfig base;
+  base.preemptions = 1;
+  const tso::ExplorerResult raw = s->explore(base);
+  ASSERT_FALSE(raw.verdict.found()) << raw.verdict.message;
+  ASSERT_TRUE(raw.exhausted);
+
+  int accepted = 0;
+  for (unsigned mask = 0; mask < 64; ++mask) {
+    const bool dedup = mask & 1, symmetry = mask & 2, liveness = mask & 4,
+               threads = mask & 8, camp = mask & 16, hook = mask & 32;
+    tso::ExplorerConfig cfg = base;
+    if (dedup) cfg.dedup = tso::DedupMode::kState;
+    if (symmetry) cfg.symmetric_processes = tso::SymmetryMode::kCanonical;
+    if (liveness) cfg.liveness = tso::LivenessMode::kCheck;
+    if (threads) cfg.threads = 2;
+    if (camp) cfg.campaign_path = campaign;
+    if (hook) cfg.on_complete = [](const tso::Simulator&) {};
+    const bool rejected = (dedup && hook) || (symmetry && !dedup) ||
+                          (liveness && !dedup) || (liveness && threads) ||
+                          (camp && threads) || (camp && hook);
+    SCOPED_TRACE(::testing::Message()
+                 << "dedup=" << dedup << " symmetry=" << symmetry
+                 << " liveness=" << liveness << " threads=" << cfg.threads
+                 << " campaign=" << camp << " hook=" << hook);
+    if (rejected) {
+      EXPECT_THROW((void)s->explore(cfg), CheckFailure);
+      continue;
+    }
+    ++accepted;
+    const tso::ExplorerResult r = s->explore(cfg);
+    EXPECT_FALSE(r.verdict.found()) << r.verdict.message;
+    EXPECT_TRUE(r.exhausted);
+    if (!dedup) {
+      EXPECT_EQ(r.schedules, raw.schedules);
+      EXPECT_EQ(r.truncated, raw.truncated);
+    }
+  }
+  EXPECT_EQ(accepted, 15);
+  std::remove(campaign.c_str());
 }
 
 // A watchdog budget too large for steady_clock to represent means no

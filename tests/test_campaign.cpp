@@ -352,7 +352,7 @@ TEST(Campaign, CrashBudgetCampaignReproducesVerdictAcrossLegs) {
   expect_same_outcome(plain, leg, "crash-budget campaign vs uninterrupted");
 }
 
-TEST(Campaign, RejectsParallelHooksAndSleepSets) {
+TEST(Campaign, RejectsParallelAndHooks) {
   const Scenario* s = find_scenario("mcs-2p");
   ASSERT_NE(s, nullptr);
   CampaignFile file("rejects");
@@ -366,11 +366,6 @@ TEST(Campaign, RejectsParallelHooksAndSleepSets) {
   hooked.campaign_path = file.path();
   hooked.on_complete = [](const tso::Simulator&) {};
   EXPECT_THROW(s->explore(hooked), CheckFailure);
-
-  ExplorerConfig sleepy;
-  sleepy.campaign_path = file.path();
-  sleepy.sleep_sets = true;
-  EXPECT_THROW(s->explore(sleepy), CheckFailure);
 }
 
 TEST(Campaign, ResumeRejectsMismatchedScenarioIdentity) {

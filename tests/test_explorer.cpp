@@ -9,6 +9,7 @@
 #include "algos/bakery.h"
 #include "algos/zoo.h"
 #include "tso/explorer.h"
+#include "tso/fuzz.h"
 #include "tso/schedule.h"
 
 namespace tpa {
@@ -21,6 +22,8 @@ using tso::ExplorerConfig;
 using tso::explore;
 using tso::ScenarioBuilder;
 using tso::Simulator;
+using tso::Task;
+using tso::VarId;
 
 ScenarioBuilder bakery_builder(int n, BakeryFencing fencing) {
   return [n, fencing](Simulator& sim) {
@@ -135,6 +138,62 @@ TEST(Explorer, ZeroPreemptionsIsSequential) {
   EXPECT_FALSE(r.verdict.found());
   EXPECT_TRUE(r.exhausted);
   EXPECT_EQ(r.schedules, 2u);
+}
+
+// p0: x = 1; r0 = y; out = r0 + 1.
+Task<> store_then_load(tso::Proc& p, VarId x, VarId y, VarId out) {
+  co_await p.write(x, 1);
+  const tso::Value r0 = co_await p.read(y);
+  co_await p.write(out, r0 + 1);
+}
+
+// p1: if (x == 1) y = 1.
+Task<> forward_flag(tso::Proc& p, VarId x, VarId y) {
+  const tso::Value seen = co_await p.read(x);
+  if (seen == 1) co_await p.write(y, 1);
+}
+
+// A known limit of the explorer, pinned until it is closed. It explores
+// only maximal-delay schedules: a buffered write reaches memory in a fence
+// or after its program ends, never earlier. Here p1 can set y only after
+// seeing p0's x = 1, so the outcome r0 == 1 (out == 2) needs x to commit
+// before p0's read of y. That is reachable even under SC, yet no
+// maximal-delay schedule reaches it: the explorer reports clean and
+// exhausted at every preemption bound, while the seeded fuzzer, which
+// commits buffered writes early at random, finds it. Adding early commits
+// as explorer moves (ROADMAP, the commit-budget item) flips the explore
+// half of this test to a found violation.
+TEST(Explorer, MaximalDelayMissesAnEarlyCommitOutcome) {
+  VarId out = 0;
+  const ScenarioBuilder build = [&out](Simulator& sim) {
+    const VarId x = sim.alloc_var(0);
+    const VarId y = sim.alloc_var(0);
+    out = sim.alloc_var(0);
+    sim.spawn(0, store_then_load(sim.proc(0), x, y, out));
+    sim.spawn(1, forward_flag(sim.proc(1), x, y));
+  };
+  const tso::ScheduleHook r0_is_one = [&out](const Simulator& sim) {
+    TPA_CHECK(sim.value(out) != 2, "p0 read y == 1 after an early commit");
+  };
+
+  const std::uint64_t schedules[] = {2, 6, 8, 8, 8, 8, 8};
+  for (int preemptions = 0; preemptions <= 6; ++preemptions) {
+    ExplorerConfig cfg;
+    cfg.preemptions = preemptions;
+    cfg.on_complete = r0_is_one;
+    const auto r = explore(2, {}, build, cfg);
+    EXPECT_FALSE(r.verdict.found()) << "p" << preemptions;
+    EXPECT_TRUE(r.exhausted) << "p" << preemptions;
+    EXPECT_EQ(r.schedules, schedules[preemptions]) << "p" << preemptions;
+  }
+
+  tso::FuzzConfig fcfg;
+  fcfg.seed = 1;
+  fcfg.runs = 2'000;
+  fcfg.on_complete = r0_is_one;
+  const auto f = tso::fuzz(2, {}, build, fcfg);
+  ASSERT_TRUE(f.verdict.found()) << "the fuzzer commits early and reaches it";
+  EXPECT_EQ(f.violating_run, 926u);
 }
 
 }  // namespace

@@ -250,7 +250,7 @@ TEST(DedupAblation, SymmetryCanonicalizationPrunesMoreNotDifferently) {
 
 // ---- rejected configuration combinations ---------------------------------
 
-TEST(DedupRejections, HookAndSleepSetsAndUndeclaredSymmetryAreRejected) {
+TEST(DedupRejections, HookAndUndeclaredSymmetryAreRejected) {
   const Scenario* s = find_scenario("bakery-tso-2p");
   ASSERT_NE(s, nullptr);
 
@@ -258,11 +258,6 @@ TEST(DedupRejections, HookAndSleepSetsAndUndeclaredSymmetryAreRejected) {
   hook.dedup = DedupMode::kState;
   hook.on_complete = [](const Simulator&) {};
   EXPECT_THROW((void)s->explore(hook), CheckFailure);
-
-  ExplorerConfig sleep;
-  sleep.dedup = DedupMode::kState;
-  sleep.sleep_sets = true;
-  EXPECT_THROW((void)s->explore(sleep), CheckFailure);
 
   // Symmetry needs dedup (it only canonicalizes visited-set keys) ...
   ExplorerConfig no_dedup;

@@ -2,8 +2,7 @@
 // exactly the sequential DFS' schedule space — identical `schedules` and
 // `truncated` counts for any worker count — report violations
 // deterministically (first-in-frontier-order wins, so the raw witness is
-// the sequential run's at any thread count), and sleep-set pruning must
-// cut schedules without changing any verdict.
+// the sequential run's at any thread count).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -223,59 +222,6 @@ TEST(ExplorerParallel, TimeBudgetStopsParallelExploration) {
   EXPECT_FALSE(r.exhausted)
       << "a deadline-stopped run must not claim an exhaustive proof";
   EXPECT_FALSE(r.verdict.found()) << r.verdict.message;
-}
-
-TEST(ExplorerParallel, SleepSetsCutSchedulesWithoutChangingVerdicts) {
-  // Safe scenarios: same (clean) verdict from strictly less work.
-  for (const char* name : {"bakery-tso-2p", "mcs-2p"}) {
-    const auto* s = find_scenario(name);
-    ASSERT_NE(s, nullptr);
-    ExplorerConfig cfg;
-    cfg.preemptions = 2;
-    const ExplorerResult plain = explore(s->n_procs, s->sim, s->build, cfg);
-    ExplorerConfig pruned = cfg;
-    pruned.sleep_sets = true;
-    const ExplorerResult slept =
-        explore(s->n_procs, s->sim, s->build, pruned);
-    EXPECT_FALSE(plain.verdict.found()) << name;
-    EXPECT_FALSE(slept.verdict.found())
-        << name << ": pruning must not invent violations";
-    EXPECT_TRUE(slept.exhausted) << name;
-    EXPECT_LT(slept.schedules, plain.schedules)
-        << name << ": commutative interleavings should be cut";
-  }
-  // Violating scenario: the violation must survive pruning.
-  const auto* broken = find_scenario("bakery-none-2p");
-  ASSERT_NE(broken, nullptr);
-  ExplorerConfig cfg;
-  cfg.preemptions = 1;
-  cfg.sleep_sets = true;
-  const ExplorerResult r =
-      explore(broken->n_procs, broken->sim, broken->build, cfg);
-  ASSERT_TRUE(r.verdict.found())
-      << "sleep sets skipped the fence-free bakery violation";
-  EXPECT_THROW(
-      tso::replay(broken->n_procs, broken->sim, broken->build, r.verdict.witness),
-      CheckFailure);
-}
-
-TEST(ExplorerParallel, SleepSetsComposeWithParallelExploration) {
-  const auto* s = find_scenario("bakery-tso-2p");
-  ASSERT_NE(s, nullptr);
-  ExplorerConfig cfg;
-  cfg.preemptions = 2;
-  cfg.sleep_sets = true;
-  const ExplorerResult seq = explore(s->n_procs, s->sim, s->build, cfg);
-  for (int threads : {2, 4}) {
-    ExplorerConfig pcfg = cfg;
-    pcfg.threads = threads;
-    const ExplorerResult par = explore(s->n_procs, s->sim, s->build, pcfg);
-    EXPECT_EQ(par.schedules, seq.schedules)
-        << "threads=" << threads
-        << ": sleep sets thread through frontier prefixes";
-    EXPECT_EQ(par.truncated, seq.truncated) << "threads=" << threads;
-    EXPECT_FALSE(par.verdict.found());
-  }
 }
 
 }  // namespace
