@@ -40,11 +40,15 @@ Task<> BakeryLock::acquire(Proc& p) {
   for (int j = 0; j < n_; ++j) {
     if (j == p.id()) continue;
     const auto ju = static_cast<std::size_t>(j);
+    // Each spin iteration returns to the same declared location, so the
+    // explorer's state key repeats while nothing else moves.
     while (true) {
+      p.at("bakery.choosing", j, my_number);
       const Value choosing = co_await p.read(choosing_[ju]);
       if (choosing != 1) break;  // wait out j's doorway
     }
     while (true) {
+      p.at("bakery.number", j, my_number);
       const Value nj = co_await p.read(number_[ju]);
       if (nj == 0 || nj > my_number || (nj == my_number && j > p.id())) break;
     }

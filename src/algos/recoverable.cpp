@@ -22,6 +22,7 @@ Task<> RecoverableLock::acquire(Proc& p) {
   // fragility kNone's recovery inherits.)
   co_await p.write(owner_, p.id() + 1);
   while (true) {
+    p.at("recoverable.acquire");
     const Value old = co_await p.cas(lock_, 0, p.id() + 1);
     if (old == 0) co_return;
   }

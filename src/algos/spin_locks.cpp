@@ -58,6 +58,7 @@ Task<> TicketLock::acquire(Proc& p) {
     if (old == ticket) break;
   }
   while (true) {
+    p.at("ticket.wait", ticket);
     const Value now = co_await p.read(serving_);
     if (now == ticket) break;  // FIFO handoff
   }

@@ -32,6 +32,7 @@ Task<> TournamentLock::acquire(Proc& p) {
     co_await p.write(nd.turn, side);
     co_await p.fence();  // Peterson on TSO: publish before reading opponent
     while (true) {
+      p.at("tournament.wait", node, side);
       const Value other = co_await p.read(nd.flag[1 - side]);
       if (other == 0) break;
       const Value turn = co_await p.read(nd.turn);

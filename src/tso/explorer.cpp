@@ -336,7 +336,7 @@ class Dfs {
                       : sim.fingerprint(current);
   }
 
-  /// The liveness detector's key: the history-free progress fingerprint (so
+  /// The liveness detector's key: the lane-free progress fingerprint (so
   /// abstract states can recur along a run), canonicalized under symmetry
   /// exactly like state_key.
   Fingerprint progress_key(const Simulator& sim, ProcId current) const {

@@ -74,9 +74,10 @@ SymmetryMode symmetry_mode_from_string(const std::string& name);
 /// cycle without reaching CS) or livelock (nobody makes Enter/CS/Exit
 /// progress); a pre-completion state with no enabled transition is a
 /// deadlock. Cycle detection keys on Simulator::fingerprint_progress — the
-/// machine state minus the monotone op-history component — on the DFS
-/// stack, so it requires DedupMode::kState (the visited set materializes
-/// the state graph) and composes with symmetry (canonical progress keys).
+/// machine state minus the labelled lane (monotone op history, unless the
+/// program declares locations with Proc::at) — on the DFS stack, so it
+/// requires DedupMode::kState (the visited set materializes the state
+/// graph) and composes with symmetry (canonical progress keys).
 /// See docs/LIVENESS.md for semantics and soundness preconditions.
 enum class LivenessMode : std::uint8_t {
   kOff,    ///< safety only — bit-identical to the pre-liveness explorer

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -71,6 +72,29 @@ struct PassageStats {
   }
 };
 
+/// FNV-1a basis: the labelled lane of a program that has been handed no op
+/// result and declared no location, and the start of every label's hash.
+constexpr std::uint64_t kLaneBasis = 0xcbf29ce484222325ULL;
+
+/// One FNV-1a step over a 64-bit word: how op results fold onto a process'
+/// labelled lane, and how Proc::at() folds its locals.
+constexpr std::uint64_t fold_lane(std::uint64_t h, std::uint64_t word) {
+  return (h ^ word) * 0x100000001b3ULL;
+}
+
+/// A program-location label for Proc::at(): a string literal, hashed
+/// (FNV-1a over its bytes) at compile time, so declaring a location never
+/// walks the string.
+struct Label {
+  std::uint64_t hash = kLaneBasis;
+
+  template <std::size_t N>
+  consteval Label(const char (&name)[N]) {  // implicit: p.at("name", ...)
+    for (std::size_t i = 0; i + 1 < N; ++i)
+      hash = fold_lane(hash, static_cast<unsigned char>(name[i]));
+  }
+};
+
 class Proc {
  public:
   Proc(Simulator* sim, ProcId id, std::size_t n_procs);
@@ -116,6 +140,26 @@ class Proc {
   OpAwaiter cs() { return {*this, {OpKind::kCs}}; }
   OpAwaiter exit() { return {*this, {OpKind::kExit}}; }
 
+  /// Declares the program's control location: a plain call (no suspension,
+  /// no allocation) that sets the labelled lane — the hash standing in for
+  /// the coroutine frame in Simulator::fingerprint() — to a hash of `label`,
+  /// the locals and passages_done(). Op results handed out later fold onto
+  /// it as before. Two iterations of a spin loop that calls at() at its head
+  /// thus reach the same key when memory, buffers and pending ops agree.
+  ///
+  /// The contract (docs/EXPLORER.md; checked registry-wide by
+  /// tests/test_labels.cpp): the process' whole future op sequence is a
+  /// function of the label and locals, the passage index, and the
+  /// fingerprinted process state (status, mode, buffer, pending op,
+  /// incarnation). In a declared-symmetric scenario labels and locals must
+  /// also be free of process ids.
+  template <class... Locals>
+  void at(Label label, Locals... locals) {
+    std::uint64_t h = label.hash;
+    ((h = fold_lane(h, static_cast<std::uint64_t>(locals))), ...);
+    op_hash_ = fold_lane(h, passages_done_);
+  }
+
   // ---- Introspection (scheduler / adversary side) ----
 
   bool has_pending() const { return has_pending_; }
@@ -144,11 +188,12 @@ class Proc {
   /// tracking is off (SimConfig::track_costs).
   bool remotely_read(VarId v) const;
 
-  /// Running FNV-1a hash of the op-result stream handed to this process'
-  /// program so far (reset at each crash). The program's control location
-  /// and locals are a deterministic function of that stream, so this hash
-  /// stands in for the coroutine frame in Simulator::fingerprint() — the
-  /// incremental fingerprint folds it into the process' blob component.
+  /// The labelled lane: the hash set by the last at() call, with every op
+  /// result handed out since folded on (FNV-1a); without an at() call, the
+  /// hash of the whole op-result stream of this incarnation (reset at each
+  /// crash). It stands in for the coroutine frame in
+  /// Simulator::fingerprint() — the incremental fingerprint folds it into
+  /// the process' blob component.
   std::uint64_t op_history_hash() const { return op_hash_; }
 
   std::uint32_t fences_completed() const { return fences_total_; }
@@ -185,15 +230,11 @@ class Proc {
   /// at its first resume. Until then the list holds what the frame owes.
   std::vector<Value> op_results_;
 
-  /// FNV-1a basis for op_hash_ (an empty op-result history).
-  static constexpr std::uint64_t kOpHashBasis = 0xcbf29ce484222325ULL;
-
-  /// Running FNV-1a hash of op_results_, maintained incrementally as results
-  /// are handed out (and reset when a crash clears the history). Because the
-  /// coroutine's control location and locals are a deterministic function of
-  /// the op-result stream, this hash stands in for them in
-  /// Simulator::fingerprint() without walking the unbounded history.
-  std::uint64_t op_hash_ = kOpHashBasis;
+  /// The labelled lane (see op_history_hash): set by at(), folded with each
+  /// result as it is handed out, reset when a crash clears the history. It
+  /// is state in its own right — a label cannot be recomputed from
+  /// op_results_ — so SimSnapshot::ProcState carries it.
+  std::uint64_t op_hash_ = kLaneBasis;
 
   std::uint32_t fences_total_ = 0;
   std::uint32_t passages_done_ = 0;

@@ -316,7 +316,7 @@ bool Simulator::crash(ProcId pid) {
   p.has_pending_ = false;
   p.resume_point_ = {};
   p.op_results_.clear();
-  p.op_hash_ = Proc::kOpHashBasis;
+  p.op_hash_ = kLaneBasis;
   p.status_ = Status::kNcs;
   p.mode_ = Mode::kRead;
   p.cur_ = PassageStats{};
@@ -442,14 +442,6 @@ void Simulator::notify_directive(const Directive& d) {
 
 namespace {
 
-/// One FNV-1a step over an op result, shared by the incremental op_hash_
-/// maintenance and its from-scratch recomputation in restore().
-std::uint64_t fold_op_result(std::uint64_t h, Value r) {
-  h ^= static_cast<std::uint64_t>(r);
-  h *= 0x100000001b3ULL;
-  return h;
-}
-
 /// A respawned frame did not reach the state the snapshot records: the
 /// builder or a program is not deterministic. A std::logic_error but not a
 /// CheckFailure, so the explorer's and fuzzer's violation catches — which
@@ -473,7 +465,9 @@ void Simulator::resume(Proc& p) {
   if (owed_[static_cast<std::size_t>(p.id())]) fast_forward(p);
   fp_dirty_proc(p.id());
   p.op_results_.push_back(p.pending_.result);
-  p.op_hash_ = fold_op_result(p.op_hash_, p.pending_.result);
+  // at() calls the program makes below may replace the folded lane.
+  p.op_hash_ =
+      fold_lane(p.op_hash_, static_cast<std::uint64_t>(p.pending_.result));
   p.has_pending_ = false;
   auto h = p.resume_point_;
   p.resume_point_ = {};
@@ -905,10 +899,11 @@ std::uint64_t fp_var_component(const Variable& v, const ProcId* rename) {
 
 /// One process' *live* blob: control flags, incarnation count, write buffer
 /// in FIFO order, and the parked pending op — everything of the full blob
-/// except the op-result history hash. Deliberately free of process ids, so
-/// a renaming permutes blob *positions*, never contents. This is the
-/// progress-fingerprint component: the history hash grows monotonically, so
-/// leaving it out is exactly what lets abstract states repeat along a run.
+/// except the labelled lane. Deliberately free of process ids, so a
+/// renaming permutes blob *positions*, never contents. This is the
+/// progress-fingerprint component: an unlabelled lane grows monotonically,
+/// so leaving it out is exactly what lets abstract states repeat along a
+/// run.
 std::uint64_t fp_proc_blob_live(const Proc& p, bool program_valid,
                                 bool has_recovery) {
   std::uint64_t h = kFpBasis;
@@ -935,10 +930,10 @@ std::uint64_t fp_proc_blob_live(const Proc& p, bool program_valid,
   return h;
 }
 
-/// The full blob: live blob plus the op-result history hash (the
-/// coroutine-frame surrogate — the control location and every local are a
-/// deterministic function of the op-result stream) folded last, so both
-/// hashes come out of one pass over the process.
+/// The full blob: live blob plus the labelled lane (the coroutine-frame
+/// surrogate: the declared location and its locals, or the op-result stream
+/// the frame is a deterministic function of) folded last, so both hashes
+/// come out of one pass over the process.
 inline std::uint64_t fp_proc_blob_full(std::uint64_t live, const Proc& p) {
   return fp_fold(live, p.op_history_hash());
 }
@@ -1262,6 +1257,7 @@ void Simulator::snapshot_into(SimSnapshot& s) const {
     ps.crashed = p.crashed_;
     ps.incarnations = p.incarnations_;
     ps.op_results = p.op_results_;
+    ps.op_hash = p.op_hash_;
     ps.fences_total = p.fences_total_;
     ps.passages_done = p.passages_done_;
     ps.cur = p.cur_;
@@ -1289,13 +1285,17 @@ bool Simulator::feed(Proc& p, const std::vector<Value>& results) {
 void Simulator::fast_forward(Proc& p) {
   owed_[static_cast<std::size_t>(p.id())] = 0;
   // The frame sits at its first suspension point; the state's pending op
-  // (result included) is what the caller is about to hand it.
+  // (result included) is what the caller is about to hand it. Replaying
+  // re-runs the frame's at() calls, and feeding folds nothing: the lane
+  // restore() installed is the one to keep.
   const SimOp want = p.pending_;
+  const std::uint64_t lane = p.op_hash_;
   if (!feed(p, p.op_results_) || !p.has_pending_ || !same_op(p.pending_, want))
     restore_diverged(p, "fed its recorded op results at its first resume, "
                         "the respawned frame is not pending on the recorded "
                         "op");
   p.pending_ = want;
+  p.op_hash_ = lane;
 }
 
 void Simulator::restore(const SimSnapshot& snap,
@@ -1392,10 +1392,8 @@ void Simulator::restore(const SimSnapshot& snap,
         }
       }
       p.op_results_ = ps.op_results;
-      p.op_hash_ = Proc::kOpHashBasis;
-      for (const Value r : ps.op_results)
-        p.op_hash_ = fold_op_result(p.op_hash_, r);
     }
+    p.op_hash_ = ps.op_hash;
     p.status_ = ps.status;
     p.mode_ = ps.mode;
     p.buffer_ = ps.buffer;

@@ -158,6 +158,9 @@ struct SimSnapshot {
     std::uint32_t incarnations = 0;
     /// Results of the *current* incarnation's ops (cleared at each crash).
     std::vector<Value> op_results;
+    /// The labelled lane (Proc::op_history_hash). Not a function of
+    /// op_results once the program calls Proc::at(), so it is carried.
+    std::uint64_t op_hash = 0;
     std::uint32_t fences_total = 0;
     std::uint32_t passages_done = 0;
     PassageStats cur;
@@ -315,13 +318,15 @@ class Simulator {
 
   /// Canonical fingerprint of the complete *machine* state: committed shared
   /// memory (value + last_writer + owner per variable), each process'
-  /// control location (an incrementally maintained hash of its op-result
-  /// stream + incarnation count), write-buffer contents, pending op,
-  /// status/mode/done/crashed flags, and the config bits the transition
-  /// relation consults (pso, crash model). Pure instrumentation — observers,
-  /// contention bookkeeping, passage statistics, the touched set — is
-  /// deliberately excluded, so a bare core and a fully instrumented
-  /// simulator in the same machine state fingerprint identically.
+  /// control location (its labelled lane — the location the last
+  /// Proc::at() declared, or the op-result stream, with the results handed
+  /// out since folded on — plus the incarnation count), write-buffer
+  /// contents, pending op, status/mode/done/crashed flags, and the config
+  /// bits the transition relation consults (pso, crash model). Pure
+  /// instrumentation — observers, contention bookkeeping, passage
+  /// statistics, the touched set — is deliberately excluded, so a bare core
+  /// and a fully instrumented simulator in the same machine state
+  /// fingerprint identically.
   ///
   /// Maintained *incrementally*: every deliver/commit/crash/recover marks
   /// the per-process and per-variable hash components it touched dirty, and
@@ -358,15 +363,15 @@ class Simulator {
   Fingerprint fingerprint_symmetric(ProcId current = kNoProc) const;
 
   /// The *progress* fingerprint: fingerprint() minus the per-process
-  /// op-result history component. The history hash grows monotonically
-  /// (every spin-loop iteration appends op results), so full-state
-  /// fingerprints never repeat along a run — dropping exactly that
-  /// component yields an abstraction under which a spinning process or a
-  /// completed lock passage returns to an earlier state. Fair-cycle
-  /// detection (ExplorerConfig::liveness) keys its DFS on-stack map on this
-  /// value; soundness comes from re-applying any candidate cycle and
-  /// checking the key re-closes, so a hash-collision false cycle is
-  /// rejected rather than reported (see docs/LIVENESS.md). Maintained by
+  /// labelled lane. Without Proc::at() calls that lane hashes the whole
+  /// op-result history and grows monotonically, so full-state fingerprints
+  /// never repeat along a run — dropping exactly that component yields an
+  /// abstraction under which a spinning process or a completed lock
+  /// passage returns to an earlier state. Fair-cycle detection
+  /// (ExplorerConfig::liveness) keys its DFS on-stack map on this value;
+  /// soundness comes from re-applying any candidate cycle and checking the
+  /// key re-closes, so a hash-collision false cycle is rejected rather than
+  /// reported (see docs/LIVENESS.md). Maintained by
   /// the same dirty-tracking machinery as fingerprint(), O(1) per event; a
   /// distinct domain tag keeps progress and full keys from ever colliding
   /// across key spaces.
@@ -375,7 +380,7 @@ class Simulator {
   /// True when no progress-visible component has changed since the last
   /// flush/rebuild of the incremental-fingerprint baseline: no variable was
   /// dirtied, and every dirtied process' recomputed live blob equals its
-  /// baseline value — i.e. only op histories grew. Read-only: neither
+  /// baseline value — i.e. only labelled lanes moved. Read-only: neither
   /// flushes nor moves the baseline, so chained calls keep comparing
   /// against the same state. Callers must separately rule out variable
   /// *allocation* (compare n_vars() across the step): a fresh variable
@@ -513,7 +518,7 @@ class Simulator {
   // commutative group operations, so a changed component folds out in O(1).
   mutable std::vector<std::uint64_t> fp_var_;   ///< per-variable components
   mutable std::vector<std::uint64_t> fp_proc_;  ///< per-process blob hashes
-  /// History-free per-process blob hashes (the progress-fingerprint lane).
+  /// Lane-free per-process blob hashes (the progress-fingerprint lane).
   /// A full blob is fp_fold(live blob, op_history_hash), so both are
   /// computed in one pass and share the dirty tracking below.
   mutable std::vector<std::uint64_t> fp_proc_live_;

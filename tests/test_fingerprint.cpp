@@ -305,6 +305,83 @@ TEST(FingerprintDifferential, InPlaceRestoreOntoADivergedSimulator) {
          "incarnation or a buffer";
 }
 
+/// True when the step just applied was a read that left the reader's
+/// labelled lane at `lane`, its value before the step: a spin loop came back
+/// to the location it declares with Proc::at (tso/proc.h).
+bool spun(const Simulator& sim, ProcId reader, std::uint64_t lane) {
+  return sim.execution().events.back().kind == tso::EventKind::kRead &&
+         sim.proc(reader).op_history_hash() == lane;
+}
+
+TEST(FingerprintDifferential, LabelledLaneSurvivesRestoreAndFastForward) {
+  // A label is state no op-result stream can recompute, so the snapshot
+  // carries the lane: restore() must reinstate it, kept frame or respawned,
+  // and a respawned frame that replays its at() calls while being fed its
+  // owed results must not overwrite it.
+  for (const char* name : {"bakery-tso-3p", "ticket-3p"}) {
+    const Scenario* s = find_scenario(name);
+    ASSERT_NE(s, nullptr) << name;
+    auto sim = s->make_simulator();
+    std::vector<Directive> prefix;
+    std::mt19937_64 rng(31);
+    std::size_t checked = 0, mid_spin = 0;
+    // Mid-spin: the last step was a read, yet the reader's lane is back
+    // where it was — a spin loop re-declared its location.
+    bool spinning = false;
+    for (std::size_t step = 0; step < 400 && checked < 40; ++step) {
+      if (spinning || checked > 0) {
+        const std::string at = std::string(name) + " snapshot at step " +
+                               std::to_string(step);
+        ++checked;
+        mid_spin += spinning ? 1 : 0;
+        const tso::SimSnapshot snap = sim->snapshot();
+        const Fingerprint key = sim->fingerprint();
+        // The reference reaches the same state by replay alone: no restore.
+        auto ref = s->make_simulator();
+        for (const Directive& d : prefix) ASSERT_TRUE(ref->apply(d)) << at;
+        ASSERT_EQ(ref->fingerprint(), key) << at;
+
+        // Diverge down another schedule, then restore in place.
+        std::mt19937_64 other(step);
+        for (std::size_t k = 0; k < 60; ++k)
+          if (!random_step(*sim, other, /*crashes=*/false)) break;
+        sim->restore(snap, s->build);
+        ASSERT_EQ(sim->fingerprint(), key) << at;
+        ASSERT_EQ(sim->fingerprint(), sim->fingerprint_oracle()) << at;
+
+        // Step every process once — the respawned ones are fed their owed
+        // results first — then a seeded tail, comparing after every event.
+        std::mt19937_64 tail(step + 1000);
+        for (std::size_t k = 0; k < s->n_procs + 20; ++k) {
+          std::vector<Directive> cand = possible_directives(*sim, false);
+          if (cand.empty()) break;
+          Directive d{ActionKind::kDeliver, static_cast<ProcId>(k)};
+          if (k >= s->n_procs || !sim->proc(d.proc).has_pending())
+            d = cand[std::uniform_int_distribution<std::size_t>(
+                0, cand.size() - 1)(tail)];
+          ASSERT_TRUE(sim->apply(d)) << at;
+          ASSERT_TRUE(ref->apply(d)) << at;
+          ASSERT_EQ(sim->fingerprint(), sim->fingerprint_oracle()) << at;
+          ASSERT_EQ(sim->fingerprint(), ref->fingerprint())
+              << at << ", restored step " << k;
+        }
+        sim->restore(snap, s->build);
+        ASSERT_EQ(sim->fingerprint(), key) << at;
+      }
+      std::vector<Directive> cand = possible_directives(*sim, false);
+      if (cand.empty()) break;
+      const Directive d = cand[std::uniform_int_distribution<std::size_t>(
+          0, cand.size() - 1)(rng)];
+      const std::uint64_t lane = sim->proc(d.proc).op_history_hash();
+      ASSERT_TRUE(sim->apply(d)) << name;
+      spinning = spun(*sim, d.proc, lane);
+      prefix.push_back(d);
+    }
+    EXPECT_GT(mid_spin, 0u) << name << ": the walk never came back to a "
+                                       "declared location";
+  }
+}
+
 TEST(FingerprintDifferential, SnapshotIntoRecyclesBuffersExactly) {
   const Scenario* s = find_scenario("ticket-3p");
   ASSERT_NE(s, nullptr);
@@ -349,6 +426,10 @@ TEST(SymmetryCanonicalization, InvariantUnderRandomProcessPermutations) {
     std::vector<ProcId> perm(s->n_procs);
     std::iota(perm.begin(), perm.end(), 0);
     std::mt19937_64 rng(1234);
+    // Walks run until every process is done, through the ticket lock's
+    // labelled spin states: a label or local that names the process would
+    // give renamed states different blobs.
+    std::size_t spins = 0;
     for (int round = 0; round < 12; ++round) {
       std::shuffle(perm.begin(), perm.end(), rng);
       // Drive a random schedule S on `a` and its renamed image perm(S) on
@@ -357,7 +438,7 @@ TEST(SymmetryCanonicalization, InvariantUnderRandomProcessPermutations) {
       auto a = s->make_simulator();
       auto b = s->make_simulator();
       std::mt19937_64 sched(round * 7919 + 1);
-      for (std::size_t step = 0; step < 60; ++step) {
+      for (std::size_t step = 0; step < 400; ++step) {
         std::vector<Directive> cand =
             possible_directives(*a, /*crashes=*/false);
         if (cand.empty()) break;
@@ -365,8 +446,10 @@ TEST(SymmetryCanonicalization, InvariantUnderRandomProcessPermutations) {
             0, cand.size() - 1)(sched)];
         const Directive renamed{
             d.kind, perm[static_cast<std::size_t>(d.proc)], d.var};
+        const std::uint64_t lane = a->proc(d.proc).op_history_hash();
         ASSERT_TRUE(a->apply(d)) << name;
         ASSERT_TRUE(b->apply(renamed)) << name;
+        spins += spun(*a, d.proc, lane) ? 1 : 0;
         ASSERT_EQ(a->fingerprint_symmetric(d.proc),
                   b->fingerprint_symmetric(renamed.proc))
             << name << " round " << round << " step " << step;
@@ -376,6 +459,9 @@ TEST(SymmetryCanonicalization, InvariantUnderRandomProcessPermutations) {
                   b->fingerprint(renamed.proc))
             << name << " round " << round << " step " << step;
       }
+    }
+    if (std::string(name) == "ticket-3p") {
+      EXPECT_GT(spins, 0u) << name;
     }
   }
 }
